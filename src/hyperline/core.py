@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 
@@ -67,7 +68,8 @@ class Multigraph:
     """Undirected multigraph: vertex count plus positive multiplicities.
 
     Only pairs (i, j) with i < j are stored; symmetry is structural and
-    self-loops are rejected outright.
+    self-loops are rejected outright. Degrees and neighbour lists are built
+    together, in one pass, on first use.
     """
 
     order: int
@@ -98,11 +100,7 @@ class Multigraph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.order:
             raise IndexError(f"vertex {v} out of range for order {self.order}")
-        return sum(
-            mult
-            for (i, j), mult in self.multiplicities.items()
-            if v in (i, j)
-        )
+        return self._incidence[0][v]
 
     def total_multiplicity(self) -> int:
         """Number of edges counted with multiplicity."""
@@ -114,13 +112,22 @@ class Multigraph:
             yield i, j, self.multiplicities[(i, j)]
 
     def neighbors(self, v: int) -> list[int]:
-        out = set()
-        for (i, j) in self.multiplicities:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return sorted(out)
+        """Sorted distinct neighbours; empty for a vertex outside the graph."""
+        if not 0 <= v < self.order:
+            return []
+        return list(self._incidence[1][v])
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(degree per vertex, sorted neighbours per vertex)."""
+        degrees = [0] * self.order
+        neighbors: list[list[int]] = [[] for _ in range(self.order)]
+        for (i, j), mult in self.multiplicities.items():
+            degrees[i] += mult
+            degrees[j] += mult
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        return tuple(degrees), tuple(tuple(sorted(ns)) for ns in neighbors)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ def line_edge_count(h: Hypergraph) -> int:
     degs = degree_profile(h).degrees
     twice = zagreb_index(h) - sum(degs)
     # sum d(d-1) over vertices is always even
-    assert twice % 2 == 0
+    if twice % 2:
+        raise AssertionError(f"odd degree sum {twice} for the line edge count")
     return twice // 2
 
 

@@ -1,9 +1,23 @@
 """Exact integer matrices: incidence, cardinality, line adjacency, signless
-Laplacian, and rational kernel/rank computation.
+Laplacian, and exact kernel/rank computation.
 
-Everything here is exact (Python big integers and fractions); floating
-point appears only downstream in the eigensolver. Matrices are dense and
-immutable; instances at the intended scale are tiny.
+Everything here is exact: entries are Python integers of any size and
+kernel vectors are rationals; floating point appears only downstream in the
+eigensolver. An `IntMatrix` is immutable and stored row-major, but no hot
+path forms a dense product:
+
+- `Q = B Bᵀ` is filled straight from the edge lists: each ordered pair of
+  vertices of an edge adds 1, which is `O(Σ|e|²)` work plus the `n²` output.
+- `Bᵀ B` in `gram_identity_check` is filled from each vertex's list of
+  incident edges, `O(Σ d(v)²)`, and compared with `C + A_L` built from the
+  line multigraph's set intersections, so the identity compares two
+  independent routes.
+- Rank and kernel come from fraction-free Gauss-Jordan elimination
+  (Bareiss) on integer rows; the elimination forms no `Fraction`.
+
+`IntMatrix.__matmul__` is the plain dense product. It is the reference
+route the tests check the constructions above against, and it serves the
+small products of `spectra.char_poly_exact`.
 """
 
 from __future__ import annotations
@@ -11,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import Hypergraph, Multigraph
@@ -57,24 +72,30 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def column(self, j: int) -> tuple[int, ...]:
+        return self.entries[j :: self.cols]
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols,
             self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple(x for j in range(self.cols) for x in self.column(j)),
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Dense product, the reference route for the sparse constructions."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ent = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                ent.append(
-                    sum(ri[k] * other.at(k, j) for k in range(self.cols))
-                )
-        return IntMatrix(self.rows, other.cols, tuple(ent))
+        cols = [other.column(j) for j in range(other.cols)]
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(
+                sum(map(mul, self.row(i), col))
+                for i in range(self.rows)
+                for col in cols
+            ),
+        )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -91,13 +112,11 @@ class IntMatrix:
     def trace(self) -> int:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum(self.at(i, i) for i in range(self.rows))
+        return sum(self.entries[:: self.cols + 1])
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+            self.row(i) == self.column(i) for i in range(self.rows)
         )
 
     def to_text(self) -> str:
@@ -147,61 +166,87 @@ def adjacency_matrix(g: Multigraph) -> IntMatrix:
     return IntMatrix(n, n, tuple(ent))
 
 
+def _co_membership(groups: Iterable[Iterable[int]], size: int) -> IntMatrix:
+    """size x size matrix whose (a, b) entry counts the groups holding both."""
+    ent = [0] * (size * size)
+    for group in groups:
+        for a in group:
+            base = a * size
+            for b in group:
+                ent[base + b] += 1
+    return IntMatrix(size, size, tuple(ent))
+
+
 def signless_laplacian(h: Hypergraph) -> IntMatrix:
     """B B^T: degrees on the diagonal, co-membership counts off it."""
-    b = incidence_matrix(h)
-    return b @ b.transpose()
+    return _co_membership(h.edges, h.n)
+
+
+def _gram_matrix(h: Hypergraph) -> IntMatrix:
+    """B^T B from each vertex's list of incident edges."""
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for j, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(j)
+    return _co_membership(incident, h.m)
 
 
 def gram_identity_check(h: Hypergraph) -> bool:
     """Exact entrywise test of B^T B = C + A_L.
 
     Always true for a correct implementation; exposed as a loud self-test.
+    The left side comes from vertex incidences, the right from pairwise
+    edge intersections.
     """
-    b = incidence_matrix(h)
-    lhs = b.transpose() @ b
     rhs = cardinality_matrix(h) + adjacency_matrix(line_multigraph(h).graph)
-    return lhs == rhs
+    return _gram_matrix(h) == rhs
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _row_reduce(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+
+    Returns the pivot columns, chosen as the first non-zero entry of each
+    column, as in the rational reduced row echelon form. Every division is
+    exact. On return the rows are that reduced form scaled by the last
+    pivot `d`: pivot row r holds `d` at column pivots[r] and 0 at every
+    other pivot column.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return rows, pivots
+    return pivots
 
 
 def exact_rank(matrix: IntMatrix) -> int:
-    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
-    return len(_row_reduce(rows)[1])
+    return len(_row_reduce([list(matrix.row(i)) for i in range(matrix.rows)]))
 
 
-def _normalize_integer(vec: list[Fraction]) -> RationalVector:
-    # scale to integers with content 1, first non-zero entry positive
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+def _normalize_integer(ints: list[int]) -> RationalVector:
+    # content 1, first non-zero entry positive
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 1)
@@ -224,19 +269,20 @@ def exact_kernel(
     active = [c for c in range(matrix.cols) if c not in fixed]
     if not active:
         return []
-    rows = [
-        [Fraction(matrix.at(i, c)) for c in active] for i in range(matrix.rows)
-    ]
-    rref, pivots = _row_reduce(rows)
+    rows = [[row[c] for c in active] for row in map(matrix.row, range(matrix.rows))]
+    pivots = _row_reduce(rows)
+    # every pivot row holds the same pivot value d, so d times the rational
+    # basis vector for free column f is integral
+    d = rows[0][pivots[0]] if pivots else 1
     pivot_set = set(pivots)
     basis: list[RationalVector] = []
     for f in range(len(active)):
         if f in pivot_set:
             continue
-        wide = [Fraction(0)] * matrix.cols
-        wide[active[f]] = Fraction(1)
+        wide = [0] * matrix.cols
+        wide[active[f]] = d
         for r_idx, p in enumerate(pivots):
-            wide[active[p]] = -rref[r_idx][f]
+            wide[active[p]] = -rows[r_idx][f]
         basis.append(_normalize_integer(wide))
     return basis
 
@@ -244,7 +290,8 @@ def exact_kernel(
 def matrix_vector(matrix: IntMatrix, vec: RationalVector) -> RationalVector:
     if matrix.cols != len(vec):
         raise ValueError("dimension mismatch")
+    x = vec.entries
     return RationalVector(
-        sum(Fraction(matrix.at(i, j)) * vec.entries[j] for j in range(matrix.cols))
+        sum(a * x[j] for j, a in enumerate(matrix.row(i)) if a)
         for i in range(matrix.rows)
     )

@@ -132,7 +132,8 @@ def char_poly_exact(matrix: IntMatrix) -> CharPoly:
     for k in range(1, n + 1):
         am = matrix @ m
         q, rem = divmod(-am.trace(), k)
-        assert rem == 0
+        if rem:
+            raise AssertionError(f"Faddeev-LeVerrier step {k} left remainder {rem}")
         coeffs.append(q)
         m = am + IntMatrix.identity(n).scaled(q)
     return CharPoly(tuple(coeffs))
@@ -171,7 +172,8 @@ def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
 
     The incidence kernel is restricted to the columns of rank-sized edges;
     a non-trivial element there is exactly equivalent to -r being an
-    eigenvalue of the line adjacency matrix.
+    eigenvalue of the line adjacency matrix. The returned vector has been
+    checked to lie in that restricted kernel; `AssertionError` otherwise.
     """
     r, _ = rank_corank(h)
     b = incidence_matrix(h)
@@ -180,8 +182,8 @@ def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
     if not basis:
         return None
     vec = basis[0]
-    assert matrix_vector(b, vec).is_zero()
-    assert all(vec.entries[i] == 0 for i in small)
+    if not matrix_vector(b, vec).is_zero() or any(vec.entries[i] for i in small):
+        raise AssertionError("-r certificate failed exact verification")
     return CertificateMinusR(vec, r)
 
 
@@ -325,5 +327,8 @@ def power_spectrum_formula(
         # the q-group is itself zero; total zeros are t*n - p
         vals += [0.0] * (t * n - p)
     vals.sort(reverse=True)
-    assert len(vals) == t * n + m * q
+    if len(vals) != t * n + m * q:
+        raise AssertionError(
+            f"power spectrum has {len(vals)} values, expected {t * n + m * q}"
+        )
     return Spectrum(tuple(vals), tolerance)

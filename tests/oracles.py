@@ -1,15 +1,18 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here calls the code paths under test: connectivity is decided by
-relation closure, collars by full subset enumeration, and eigenvalues by
+relation closure, collars by full subset enumeration, eigenvalues by
 isolating the real roots of the exact characteristic polynomial
-symbolically.
+symbolically, and rank and kernel by a reduced row echelon form over
+`Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import sympy
 
@@ -90,3 +93,72 @@ def _real_roots_cached(coefficients: tuple[int, ...]) -> tuple[float, ...]:
 def charpoly_real_roots(coefficients) -> tuple[float, ...]:
     """Descending real roots (with multiplicity) of an exact integer poly."""
     return _real_roots_cached(tuple(int(c) for c in coefficients))
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def rank_oracle(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix given as rows, over the rationals."""
+    return len(_rref([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def _normalize(vec: list[Fraction]) -> list[int]:
+    # scale to integers with content 1, first non-zero entry positive
+    denom_lcm = 1
+    for x in vec:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 1)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def kernel_oracle(
+    rows: list[list[int]], n_cols: int, fixed_zero_columns=()
+) -> list[list[int]]:
+    """Null-space basis zero on the fixed columns, one vector per free column
+    of the RREF over the remaining columns, each scaled to content-1
+    integers with a positive leading entry."""
+    fixed = set(fixed_zero_columns)
+    active = [c for c in range(n_cols) if c not in fixed]
+    if not active:
+        return []
+    rref, pivots = _rref([[Fraction(row[c]) for c in active] for row in rows])
+    basis = []
+    for f in range(len(active)):
+        if f in pivots:
+            continue
+        wide = [Fraction(0)] * n_cols
+        wide[active[f]] = Fraction(1)
+        for r_idx, p in enumerate(pivots):
+            wide[active[p]] = -rref[r_idx][f]
+        basis.append(_normalize(wide))
+    return basis

@@ -26,6 +26,16 @@ def test_checks_trio(trio):
     assert entries["spectral-radius-sandwich"].details["equality"] is True
 
 
+def test_checks_certificate_entry_cycle4():
+    entry = entry_map(run_all_checks(helpers.cycle(4)))["minus-rank-certificate-iff"]
+    assert entry.passed
+    assert entry.details == {
+        "certificate": True,
+        "eigenvalue_minus_r": True,
+        "incidence_kernel_exact": True,
+    }
+
+
 def test_checks_collar3_entries(collar3):
     report = run_all_checks(collar3[0])
     assert report.passed

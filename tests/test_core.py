@@ -152,6 +152,16 @@ def test_multigraph_rejects_self_loop():
 
 @settings(deadline=None)
 @given(strategies.multigraphs())
+def test_multigraph_degree_and_neighbors_match_pair_scan(g):
+    for v in range(g.order):
+        pairs = [(i, j, m) for (i, j), m in g.multiplicities.items() if v in (i, j)]
+        assert g.degree(v) == sum(m for _, _, m in pairs)
+        assert g.neighbors(v) == sorted(j if i == v else i for i, j, _ in pairs)
+    assert g.neighbors(g.order) == []
+
+
+@settings(deadline=None)
+@given(strategies.multigraphs())
 def test_handshake(g):
     assert sum(g.degree(v) for v in range(g.order)) == 2 * g.total_multiplicity()
 

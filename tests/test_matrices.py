@@ -1,7 +1,5 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
@@ -18,9 +16,11 @@ from hyperline import (
     scale_multigraph,
     signless_laplacian,
 )
+from hyperline.matrices import _gram_matrix
 
 import helpers
 import strategies
+from oracles import kernel_oracle, rank_oracle
 
 
 def test_incidence_trio(trio):
@@ -172,3 +172,76 @@ def test_matrix_vector_dimension_mismatch():
 
     with pytest.raises(ValueError):
         matrix_vector(IntMatrix.identity(2), RationalVector([1, 2, 3]))
+
+
+def matrix_rows(entry, rows: int, cols: int):
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def int_matrices(draw, max_rows: int = 6, max_cols: int = 7):
+    """Integer matrices with negative and large entries, often rank deficient,
+    plus a set of columns to hold at zero."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    entry = st.integers(min_value=-6, max_value=6) | st.integers(-(10**12), 10**12)
+    if draw(st.booleans()):
+        # a product of rows x k and k x cols factors has rank at most k
+        k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+        left = draw(matrix_rows(entry, rows, k))
+        right = draw(matrix_rows(entry, k, cols))
+        data = [
+            [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)
+        ]
+    else:
+        data = draw(matrix_rows(entry, rows, cols))
+    fixed = draw(st.frozensets(st.integers(min_value=0, max_value=cols - 1)))
+    return data, fixed
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_matrices())
+def test_bareiss_matches_fraction_rref(case):
+    data, fixed = case
+    mat = IntMatrix.from_rows(data)
+    assert exact_rank(mat) == rank_oracle(data)
+    cols = len(data[0])
+    for zero in (frozenset(), fixed):
+        basis = exact_kernel(mat, zero)
+        assert all(x.denominator == 1 for v in basis for x in v.entries)
+        got = [[int(x) for x in v.entries] for v in basis]
+        assert got == kernel_oracle(data, cols, zero)
+
+
+def test_bareiss_matches_fraction_rref_without_rows():
+    mat = IntMatrix(0, 3, ())
+    assert exact_rank(mat) == 0
+    got = [[int(x) for x in v.entries] for v in exact_kernel(mat, {1})]
+    assert got == kernel_oracle([], 3, {1}) == [[1, 0, 0], [0, 0, 1]]
+
+
+def assert_sparse_products_match_dense(h):
+    b = incidence_matrix(h)
+    assert signless_laplacian(h) == b @ b.transpose()
+    assert _gram_matrix(h) == b.transpose() @ b
+
+
+@settings(deadline=None)
+@given(strategies.hypergraphs())
+def test_sparse_products_match_dense_random(h):
+    assert_sparse_products_match_dense(h)
+
+
+def test_sparse_products_match_dense_circulant():
+    assert_sparse_products_match_dense(helpers.circulant(200, 4))
+
+
+def test_dense_product_and_transpose_small():
+    a = IntMatrix.from_rows([[1, -2, 0], [3, 0, 5]])
+    assert a.transpose().to_rows() == [[1, 3], [-2, 0], [0, 5]]
+    assert (a @ a.transpose()).to_rows() == [[5, 3], [3, 34]]
+    assert (a @ a.transpose()).is_symmetric()
+    assert not IntMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
+    assert (a @ IntMatrix(3, 0, ())) == IntMatrix(2, 0, ())

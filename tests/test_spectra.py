@@ -134,6 +134,18 @@ def test_certificate_zero_on_small_edges(collar3):
     assert spec.contains(-3.0, 1e-7)
 
 
+def test_certificate_rejects_unverified_vector(monkeypatch):
+    # a kernel vector that is not in ker B must be refused, not returned
+    import hyperline.spectra as spectra
+    from hyperline import RationalVector
+
+    monkeypatch.setattr(
+        spectra, "exact_kernel", lambda b, fixed: [RationalVector([1] * b.cols)]
+    )
+    with pytest.raises(AssertionError, match="exact verification"):
+        certificate_minus_r(helpers.cycle(4))
+
+
 def test_collar_certificate_c4_c6():
     for n in (4, 6):
         h = helpers.cycle(n)
