@@ -9,10 +9,10 @@ rank-sized edges. Collars supply such vectors in closed form.
 from pathlib import Path
 
 from hyperline import (
+    Analysis,
     adjacency_matrix,
     certificate_minus_r,
     char_poly_exact,
-    check_lower_bound,
     collar_certificate_vector,
     eigenvalues_symmetric,
     is_collar,
@@ -30,7 +30,7 @@ print("line adjacency char poly coefficients (monic, descending):", poly.coeffic
 spec = eigenvalues_symmetric(a_line)
 print("eigenvalues:", [round(x, 7) for x in spec.eigenvalues])
 
-report = check_lower_bound(h)
+report = Analysis(h).lower_bound
 print(f"lambda_min = {report.lambda_min:.7f} >= -rank = {report.bound}: {report.passed}")
 
 # Here -3 is NOT attained: the kernel of the 5x3 incidence matrix is

@@ -5,16 +5,12 @@ the sandwich rho(Q) - r <= rho(A_L) <= rho(Q) - s (tight iff uniform), and
 the degree-sum window (tight iff uniform and edge-regular).
 """
 
-from hyperline import (
-    Hypergraph,
-    degree_sum_bounds,
-    spectral_radius_sandwich,
-)
+from hyperline import Analysis, Hypergraph
 
 
 def show(name, h):
-    sw = spectral_radius_sandwich(h, 1e-6)
-    ds = degree_sum_bounds(h, 1e-6)
+    a = Analysis(h, 1e-6)
+    sw, ds = a.sandwich, a.degree_sums
     print(f"{name}:")
     print(
         f"  rho(Q) = {sw.rho_q:.6f}, rho(A_L) = {sw.rho_line:.6f}, "

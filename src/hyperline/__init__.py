@@ -14,7 +14,6 @@ from .core import (
     is_connected,
     is_uniform,
     is_valid,
-    multigraph_degree,
     multigraph_is_connected,
     rank_corank,
     validate,
@@ -44,17 +43,15 @@ from .matrices import (
 )
 from .spectra import (
     DEFAULT_TOLERANCE,
+    Analysis,
     CertificateMinusR,
     CharPoly,
     Spectrum,
     char_poly_exact,
     certificate_minus_r,
-    check_lower_bound,
     collar_certificate_vector,
-    degree_sum_bounds,
     eigenvalues_symmetric,
     power_spectrum_formula,
-    spectral_radius_sandwich,
 )
 from .structure import (
     CollarWitness,

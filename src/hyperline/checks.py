@@ -11,36 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import (
-    Hypergraph,
-    degree_profile,
-    is_connected,
-    is_uniform,
-    multigraph_is_connected,
-    rank_corank,
-    validate,
-)
-from .line import line_degree_formula, line_edge_count, line_multigraph
-from .matrices import adjacency_matrix, gram_identity_check
+from .core import Hypergraph, is_connected, is_uniform, multigraph_is_connected
+from .line import line_degree_formula, line_edge_count
+from .matrices import gram_identity_check
 from .power import PowerParams, power_line_invariance_check
 from .spectra import (
     DEFAULT_TOLERANCE,
+    Analysis,
     certificate_minus_r,
-    check_lower_bound,
     collar_certificate_vector,
-    degree_sum_bounds,
-    eigenvalues_symmetric,
-    spectral_radius_sandwich,
 )
-from .structure import (
-    collar_implies_bipartite_check,
-    is_collar,
-    regularity_report,
-    skew_iff_line_regular_check,
-)
-
-# fixed threshold for deciding whether a bound is attained (the "iff" halves)
-EQUALITY_TOLERANCE = 1e-6
+from .structure import collar_implies_bipartite_check, is_collar
 
 
 @dataclass(frozen=True)
@@ -94,14 +75,14 @@ class CheckReport:
 def run_all_checks(
     h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
 ) -> CheckReport:
-    r, s = rank_corank(h)
+    a = Analysis(h, tolerance)
+    r, s = a.rank, a.corank
     connected = is_connected(h)
     uniform = is_uniform(h)
-    lm = line_multigraph(h).graph
+    lm = a.line
     entries: list[CheckEntry] = []
 
-    isolated = [v for v in validate(h) if v.rule == "isolated-vertex"]
-    if isolated:
+    if 0 in h.degrees:
         entries.append(
             CheckEntry(
                 "connectivity-correspondence",
@@ -120,7 +101,7 @@ def run_all_checks(
             )
         )
 
-    linear = regularity_report(h).linear
+    linear = a.regularity.linear
     line_simple = all(mult <= 1 for _, _, mult in lm.pairs())
     entries.append(
         CheckEntry(
@@ -150,15 +131,13 @@ def run_all_checks(
         )
     )
 
-    entries.append(
-        CheckEntry(
-            "skew-edge-regular-iff-line-regular", skew_iff_line_regular_check(h)
-        )
-    )
+    skew = a.regularity.skew_edge_regular is not None
+    line_regular = len(set(actual)) <= 1
+    entries.append(CheckEntry("skew-edge-regular-iff-line-regular", skew == line_regular))
 
     entries.append(CheckEntry("gram-identity", gram_identity_check(h)))
 
-    lb = check_lower_bound(h, tolerance)
+    lb = a.lower_bound
     entries.append(
         CheckEntry(
             "line-eigenvalues-at-least-minus-rank",
@@ -169,7 +148,7 @@ def run_all_checks(
     )
 
     cert = certificate_minus_r(h)
-    spec_line = eigenvalues_symmetric(adjacency_matrix(lm), tolerance)
+    spec_line = a.line_spectrum
     has_eig = spec_line.contains(-float(r), tolerance)
     details: dict[str, Any] = {"certificate": cert is not None, "eigenvalue_minus_r": has_eig}
     ok = (cert is not None) == has_eig
@@ -221,7 +200,7 @@ def run_all_checks(
                 )
             )
 
-    sw = spectral_radius_sandwich(h, tolerance)
+    sw = a.sandwich
     ok = sw.passed
     details = {
         "rho_q": sw.rho_q,
@@ -231,15 +210,12 @@ def run_all_checks(
         "uniform": sw.uniform,
     }
     if connected:
-        tight = (
-            abs(sw.rho_q - r - sw.rho_line) <= EQUALITY_TOLERANCE
-            or abs(sw.rho_line - (sw.rho_q - s)) <= EQUALITY_TOLERANCE
-        )
+        tight = sw.lower_equality or sw.upper_equality
         details["equality"] = tight
         ok = ok and (tight == sw.uniform)
     entries.append(CheckEntry("spectral-radius-sandwich", ok, details, tolerance))
 
-    ds = degree_sum_bounds(h, tolerance)
+    ds = a.degree_sums
     ok = ds.passed
     details = {
         "lower": ds.lower_bound,
@@ -248,10 +224,7 @@ def run_all_checks(
         "uniform_and_edge_regular": ds.uniform and ds.edge_regular,
     }
     if connected:
-        tight = (
-            abs(ds.rho_q - ds.lower_bound) <= EQUALITY_TOLERANCE
-            or abs(ds.rho_q - ds.upper_bound) <= EQUALITY_TOLERANCE
-        )
+        tight = ds.lower_equality or ds.upper_equality
         details["equality"] = tight
         ok = ok and (tight == (ds.uniform and ds.edge_regular))
     entries.append(CheckEntry("degree-sum-bounds", ok, details, tolerance))

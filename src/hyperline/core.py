@@ -14,7 +14,7 @@ inspected. All types are immutable values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -59,8 +59,14 @@ class Hypergraph:
         """Each edge as the tuple of its vertex labels (index order)."""
         return tuple(tuple(self.labels[v] for v in e) for e in self.edges)
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per-vertex edge-membership counts, counted once on first use."""
+        degs = [0] * self.n
+        for e in self.edges:
+            for v in e:
+                degs[v] += 1
+        return tuple(degs)
 
 
 @dataclass(frozen=True)
@@ -184,10 +190,10 @@ def validate(h: Hypergraph) -> list[Violation]:
             )
         else:
             seen[e] = i
+    sets = [set(e) for e in h.edges]
     for i, ei in enumerate(h.edges):
-        si = set(ei)
         for j, ej in enumerate(h.edges):
-            if i != j and ei != ej and si <= set(ej):
+            if i != j and ei != ej and sets[i] <= sets[j]:
                 out.append(
                     Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j))
                 )
@@ -214,11 +220,8 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Per-vertex edge-membership counts with max/min/average statistics."""
     if h.n == 0:
         raise ValueError("hypergraph has no vertices")
-    degs = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            degs[v] += 1
-    return DegreeProfile(tuple(degs), max(degs), min(degs), sum(degs) / h.n)
+    degs = h.degrees
+    return DegreeProfile(degs, max(degs), min(degs), sum(degs) / h.n)
 
 
 def rank_corank(h: Hypergraph) -> tuple[int, int]:
@@ -282,8 +285,3 @@ def multigraph_is_connected(g: Multigraph) -> bool:
 def zagreb_index(h: Hypergraph) -> int:
     """Sum of squared vertex degrees."""
     return sum(d * d for d in degree_profile(h).degrees)
-
-
-def multigraph_degree(g: Multigraph, v: int) -> int:
-    """Sum of edge multiplicities incident to v."""
-    return g.degree(v)

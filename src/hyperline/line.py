@@ -41,9 +41,8 @@ def line_degree_formula(h: Hypergraph, i: int) -> int:
     """Degree of line vertex i from hypergraph degrees: sum_{v in e_i} d(v) - |e_i|."""
     if not 0 <= i < h.m:
         raise IndexError(f"edge index {i} out of range")
-    degs = degree_profile(h).degrees
     e = h.edges[i]
-    return sum(degs[v] for v in e) - len(e)
+    return sum(h.degrees[v] for v in e) - len(e)
 
 
 def line_edge_count(h: Hypergraph) -> int:

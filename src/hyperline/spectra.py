@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .core import Hypergraph, degree_profile, is_connected, is_uniform, rank_corank
+from .core import Hypergraph, Multigraph, is_uniform, rank_corank
 from .line import line_multigraph
 from .matrices import (
     IntMatrix,
@@ -28,7 +29,12 @@ from .matrices import (
     matrix_vector,
     signless_laplacian,
 )
-from .structure import CollarWitness, check_collar_witness, regularity_report
+from .structure import (
+    CollarWitness,
+    RegularityReport,
+    check_collar_witness,
+    regularity_report,
+)
 
 DEFAULT_TOLERANCE = 1e-9
 # eigenvalues closer than this multiple of the tolerance get grouped
@@ -148,23 +154,6 @@ class LowerBoundReport:
     bound: float
     passed: bool
     tolerance: float
-    connected: bool
-
-
-def check_lower_bound(
-    h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
-) -> LowerBoundReport:
-    r, _ = rank_corank(h)
-    a = adjacency_matrix(line_multigraph(h).graph)
-    lam = eigenvalues_symmetric(a, tolerance).smallest
-    return LowerBoundReport(
-        lambda_min=lam,
-        rank=r,
-        bound=-float(r),
-        passed=lam >= -r - tolerance,
-        tolerance=tolerance,
-        connected=is_connected(h),
-    )
 
 
 def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
@@ -218,7 +207,6 @@ class SandwichReport:
     rank: int
     corank: int
     uniform: bool
-    connected: bool
     lower_ok: bool
     upper_ok: bool
     lower_equality: bool
@@ -228,29 +216,6 @@ class SandwichReport:
     @property
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok
-
-
-def spectral_radius_sandwich(
-    h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
-) -> SandwichReport:
-    r, s = rank_corank(h)
-    rho_q = eigenvalues_symmetric(signless_laplacian(h), tolerance).spectral_radius
-    rho_line = eigenvalues_symmetric(
-        adjacency_matrix(line_multigraph(h).graph), tolerance
-    ).spectral_radius
-    return SandwichReport(
-        rho_q=rho_q,
-        rho_line=rho_line,
-        rank=r,
-        corank=s,
-        uniform=is_uniform(h) is not None,
-        connected=is_connected(h),
-        lower_ok=rho_q - r <= rho_line + tolerance,
-        upper_ok=rho_line <= rho_q - s + tolerance,
-        lower_equality=abs(rho_q - r - rho_line) <= tolerance,
-        upper_equality=abs(rho_line - (rho_q - s)) <= tolerance,
-        tolerance=tolerance,
-    )
 
 
 @dataclass(frozen=True)
@@ -263,7 +228,6 @@ class DegreeSumReport:
     rho_q: float
     uniform: bool
     edge_regular: bool
-    connected: bool
     lower_ok: bool
     upper_ok: bool
     lower_equality: bool
@@ -275,29 +239,83 @@ class DegreeSumReport:
         return self.lower_ok and self.upper_ok
 
 
-def degree_sum_bounds(
-    h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
-) -> DegreeSumReport:
-    r, s = rank_corank(h)
-    degs = degree_profile(h).degrees
-    sums = [sum(degs[v] for v in e) for e in h.edges]
-    lower = min(sums) - (r - s)
-    upper = max(sums) + (r - s)
-    rho_q = eigenvalues_symmetric(signless_laplacian(h), tolerance).spectral_radius
-    report = regularity_report(h)
-    return DegreeSumReport(
-        lower_bound=lower,
-        upper_bound=upper,
-        rho_q=rho_q,
-        uniform=is_uniform(h) is not None,
-        edge_regular=report.edge_regular is not None,
-        connected=is_connected(h),
-        lower_ok=lower - tolerance <= rho_q,
-        upper_ok=rho_q <= upper + tolerance,
-        lower_equality=abs(rho_q - lower) <= tolerance,
-        upper_equality=abs(rho_q - upper) <= tolerance,
-        tolerance=tolerance,
-    )
+class Analysis:
+    """The derived objects of one hypergraph that several claims read, each
+    built once, on first use.
+
+    `tolerance` is the one float rule: a bound holds when it is met to within
+    it, and is attained when the gap to it is at most it. `B`, its kernel
+    and the -r certificate have a single reader each, so they stay plain
+    calls (`incidence_matrix`, `certificate_minus_r`).
+    """
+
+    def __init__(self, h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE):
+        self.h = h
+        self.tolerance = tolerance
+        self.rank, self.corank = rank_corank(h)
+
+    def _attained(self, value: float, bound: float) -> bool:
+        return abs(value - bound) <= self.tolerance
+
+    @cached_property
+    def line(self) -> Multigraph:
+        return line_multigraph(self.h).graph
+
+    @cached_property
+    def line_spectrum(self) -> Spectrum:
+        return eigenvalues_symmetric(adjacency_matrix(self.line), self.tolerance)
+
+    @cached_property
+    def q_spectrum(self) -> Spectrum:
+        return eigenvalues_symmetric(signless_laplacian(self.h), self.tolerance)
+
+    @cached_property
+    def regularity(self) -> RegularityReport:
+        return regularity_report(self.h)
+
+    @cached_property
+    def lower_bound(self) -> LowerBoundReport:
+        lam, r, tol = self.line_spectrum.smallest, self.rank, self.tolerance
+        return LowerBoundReport(lam, r, -float(r), lam >= -r - tol, tol)
+
+    @cached_property
+    def sandwich(self) -> SandwichReport:
+        r, s, tol = self.rank, self.corank, self.tolerance
+        rho_q = self.q_spectrum.spectral_radius
+        rho_line = self.line_spectrum.spectral_radius
+        return SandwichReport(
+            rho_q=rho_q,
+            rho_line=rho_line,
+            rank=r,
+            corank=s,
+            uniform=r == s,
+            lower_ok=rho_q - r <= rho_line + tol,
+            upper_ok=rho_line <= rho_q - s + tol,
+            lower_equality=self._attained(rho_line, rho_q - r),
+            upper_equality=self._attained(rho_line, rho_q - s),
+            tolerance=tol,
+        )
+
+    @cached_property
+    def degree_sums(self) -> DegreeSumReport:
+        r, s, tol = self.rank, self.corank, self.tolerance
+        degs = self.h.degrees
+        sums = [sum(degs[v] for v in e) for e in self.h.edges]
+        lower = min(sums) - (r - s)
+        upper = max(sums) + (r - s)
+        rho_q = self.q_spectrum.spectral_radius
+        return DegreeSumReport(
+            lower_bound=lower,
+            upper_bound=upper,
+            rho_q=rho_q,
+            uniform=r == s,
+            edge_regular=self.regularity.edge_regular is not None,
+            lower_ok=lower - tol <= rho_q,
+            upper_ok=rho_q <= upper + tol,
+            lower_equality=self._attained(rho_q, lower),
+            upper_equality=self._attained(rho_q, upper),
+            tolerance=tol,
+        )
 
 
 def power_spectrum_formula(

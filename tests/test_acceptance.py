@@ -10,6 +10,7 @@ import time
 import pytest
 
 from hyperline import (
+    Analysis,
     CollarWitness,
     Hypergraph,
     PowerParams,
@@ -20,7 +21,6 @@ from hyperline import (
     collar_certificate_vector,
     collar_implies_bipartite_check,
     degree_profile,
-    degree_sum_bounds,
     eigenvalues_symmetric,
     exact_rank,
     incidence_matrix,
@@ -38,7 +38,6 @@ from hyperline import (
     regularity_report,
     scale_multigraph,
     signless_laplacian,
-    spectral_radius_sandwich,
     uniformize,
 )
 from hyperline.structure import line_is_regular
@@ -228,8 +227,8 @@ def test_criterion_07_spectral_radius_bounds(bundles, equality_family):
     if len(equality_family) != 20:
         failures.append(f"equality family has {len(equality_family)} members")
     for h in equality_family:
-        sw = spectral_radius_sandwich(h, 1e-6)
-        ds = degree_sum_bounds(h, 1e-6)
+        sw = Analysis(h, 1e-6).sandwich
+        ds = Analysis(h, 1e-6).degree_sums
         if not (sw.lower_equality and sw.upper_equality):
             failures.append("hand-built case misses sandwich equality")
         if not (ds.lower_equality and ds.upper_equality):

@@ -1,6 +1,9 @@
 import time
 
-from hyperline import Hypergraph, run_all_checks
+import pytest
+
+import hyperline.spectra
+from hyperline import Analysis, Hypergraph, run_all_checks
 
 import helpers
 
@@ -86,3 +89,36 @@ def test_checks_pass_on_families(skew_family, equality_family):
 
 def test_checks_single_edge():
     assert run_all_checks(helpers.single_edge(2)).passed
+
+
+def test_checks_build_each_derived_object_once(monkeypatch):
+    counts = {}
+    for name in ("eigenvalues_symmetric", "signless_laplacian", "regularity_report"):
+        original = getattr(hyperline.spectra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hyperline.spectra, name, counted)
+    assert run_all_checks(helpers.circulant(60, 4)).passed
+    assert counts == {
+        "eigenvalues_symmetric": 2,
+        "signless_laplacian": 1,
+        "regularity_report": 1,
+    }
+
+
+# no instance here has a bound gap between 1e-9 and 1e-6, so only 0.1 would
+# tell the caller's tolerance apart from a fixed threshold in that range
+@pytest.mark.parametrize("tol", (1e-9, 1e-6, 0.1))
+def test_checks_attainment_follows_the_analysis_rule(corpus, equality_family, tol):
+    for h in corpus + equality_family:
+        entries = entry_map(run_all_checks(h, tol))
+        a = Analysis(h, tol)
+        for name, rep in (
+            ("spectral-radius-sandwich", a.sandwich),
+            ("degree-sum-bounds", a.degree_sums),
+        ):
+            tight = rep.lower_equality or rep.upper_equality
+            assert entries[name].details["equality"] == tight

@@ -10,7 +10,6 @@ from hyperline import (
     is_connected,
     is_uniform,
     is_valid,
-    multigraph_degree,
     rank_corank,
     validate,
     zagreb_index,
@@ -134,15 +133,15 @@ def test_zagreb(trio):
 
 def test_multigraph_degree_line_of_trio(trio):
     g = line_multigraph(trio).graph
-    assert multigraph_degree(g, 1) == 3
-    assert multigraph_degree(g, 0) == 2
+    assert g.degree(1) == 3
+    assert g.degree(0) == 2
 
 
 def test_multigraph_degree_isolated_and_range():
     g = Multigraph(3, {(0, 1): 2})
-    assert multigraph_degree(g, 2) == 0
+    assert g.degree(2) == 0
     with pytest.raises(IndexError):
-        multigraph_degree(g, 3)
+        g.degree(3)
 
 
 def test_multigraph_rejects_self_loop():

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from hyperline import (
+    Analysis,
     CollarWitness,
     Hypergraph,
     IntMatrix,
     adjacency_matrix,
     certificate_minus_r,
     char_poly_exact,
-    check_lower_bound,
     collar_certificate_vector,
-    degree_sum_bounds,
     eigenvalues_symmetric,
     incidence_matrix,
     is_collar,
@@ -23,7 +22,6 @@ from hyperline import (
     PowerParams,
     rank_corank,
     signless_laplacian,
-    spectral_radius_sandwich,
 )
 
 import helpers
@@ -102,15 +100,15 @@ def test_char_poly_evaluate(trio):
 
 
 def test_lower_bound_examples(trio):
-    rep = check_lower_bound(trio)
+    rep = Analysis(trio).lower_bound
     assert rep.passed and rep.rank == 3
     assert rep.lambda_min == pytest.approx(-2.0, abs=1e-9)
 
-    rep = check_lower_bound(helpers.cycle(4))
+    rep = Analysis(helpers.cycle(4)).lower_bound
     assert rep.passed
     assert rep.lambda_min == pytest.approx(-2.0, abs=1e-9)  # attained exactly
 
-    rep = check_lower_bound(helpers.single_edge(2))
+    rep = Analysis(helpers.single_edge(2)).lower_bound
     assert rep.passed and rep.lambda_min == pytest.approx(0.0)
 
 
@@ -187,7 +185,7 @@ def test_collar_certificate_requires_uniform_host(collar3):
 
 
 def test_sandwich_trio(trio):
-    rep = spectral_radius_sandwich(trio)
+    rep = Analysis(trio).sandwich
     assert rep.passed and rep.uniform
     assert rep.rho_q == pytest.approx(4 + SQRT3, abs=1e-9)
     assert rep.rho_line == pytest.approx(1 + SQRT3, abs=1e-9)
@@ -196,20 +194,20 @@ def test_sandwich_trio(trio):
 
 def test_sandwich_non_uniform_strict():
     h = Hypergraph.from_edges([[0, 1], [1, 2, 3]])
-    rep = spectral_radius_sandwich(h, tolerance=1e-6)
+    rep = Analysis(h, tolerance=1e-6).sandwich
     assert rep.passed and not rep.uniform
     assert not rep.lower_equality and not rep.upper_equality
 
 
 def test_sandwich_single_edge():
-    rep = spectral_radius_sandwich(helpers.single_edge(2))
+    rep = Analysis(helpers.single_edge(2)).sandwich
     assert rep.rho_q == pytest.approx(2.0)
     assert rep.rho_line == pytest.approx(0.0)
     assert rep.lower_equality and rep.upper_equality
 
 
 def test_degree_sum_bounds_cycle():
-    rep = degree_sum_bounds(helpers.cycle(4))
+    rep = Analysis(helpers.cycle(4)).degree_sums
     assert (rep.lower_bound, rep.upper_bound) == (4, 4)
     assert rep.rho_q == pytest.approx(4.0)
     assert rep.uniform and rep.edge_regular
@@ -217,7 +215,7 @@ def test_degree_sum_bounds_cycle():
 
 
 def test_degree_sum_bounds_trio(trio):
-    rep = degree_sum_bounds(trio, tolerance=1e-6)
+    rep = Analysis(trio, tolerance=1e-6).degree_sums
     assert (rep.lower_bound, rep.upper_bound) == (5, 6)
     assert rep.rho_q == pytest.approx(4 + SQRT3, abs=1e-9)
     assert rep.passed
@@ -225,7 +223,7 @@ def test_degree_sum_bounds_trio(trio):
 
 
 def test_degree_sum_bounds_path():
-    rep = degree_sum_bounds(helpers.path(4), tolerance=1e-6)
+    rep = Analysis(helpers.path(4), tolerance=1e-6).degree_sums
     assert (rep.lower_bound, rep.upper_bound) == (3, 4)
     assert rep.rho_q == pytest.approx(2 + SQRT2, abs=1e-9)
     assert rep.passed and not rep.edge_regular
@@ -283,7 +281,7 @@ def test_power_spectrum_matches_direct(h):
 @settings(deadline=None, max_examples=40)
 @given(strategies.hypergraphs(max_n=6, max_m=5))
 def test_lower_bound_random(h):
-    rep = check_lower_bound(h)
+    rep = Analysis(h).lower_bound
     assert rep.lambda_min >= -rep.rank - 10 * rep.tolerance
 
 
