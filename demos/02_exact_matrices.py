@@ -1,6 +1,6 @@
 """The exact matrix layer: incidence, cardinality, Gram identity, kernels.
 
-Everything here is integer or rational arithmetic; no tolerances involved.
+Everything here is integer arithmetic; no tolerances involved.
 """
 
 from pathlib import Path
@@ -40,9 +40,9 @@ print("gram identity: exact")
 # +1/-1 vector around an even cycle sums to zero at every vertex.
 c4 = parse_path(DATA / "c4.hg")
 basis = exact_kernel(incidence_matrix(c4))
-print("\nC4 incidence kernel basis:", [[int(x) for x in v.entries] for v in basis])
+print("\nC4 incidence kernel basis:", [list(v) for v in basis])
 for vec in basis:
-    assert matrix_vector(incidence_matrix(c4), vec).is_zero()
+    assert not any(matrix_vector(incidence_matrix(c4), vec))
 
 c3 = Hypergraph.from_edges([[0, 1], [1, 2], [2, 0]])
 print("C3 incidence kernel basis:", exact_kernel(incidence_matrix(c3)))

@@ -40,7 +40,7 @@ print("certificate for -3:", certificate_minus_r(h))
 # On the four-cycle the alternating vector certifies -2 exactly.
 c4 = parse_path(DATA / "c4.hg")
 cert = certificate_minus_r(c4)
-print("\nC4 certificate for -2:", [int(x) for x in cert.vector.entries])
+print("\nC4 certificate for -2:", list(cert.vector))
 
 # A collar is the structural reason: 2-regular, properly 2-colorable edge
 # set. Coloring classes give the +-1 kernel vector directly.
@@ -49,7 +49,7 @@ witness = is_collar(collar)
 print("\n3-uniform collar recognized:", witness is not None)
 cert = collar_certificate_vector(collar, witness)
 print("collar certificate (+1 on one class, -1 on the other):")
-print(" ", [int(x) for x in cert.vector.entries])
+print(" ", list(cert.vector))
 spec = eigenvalues_symmetric(adjacency_matrix(line_multigraph(collar).graph))
 print("line spectrum contains -3:", spec.contains(-3.0, 1e-9))
 print("smallest line eigenvalue:", round(spec.smallest, 9))

@@ -1,6 +1,6 @@
 """hyperline: line multigraphs of general hypergraphs.
 
-Exact incidence algebra (integer matrices, rational kernels), floating
+Exact incidence algebra (integer matrices, integer kernels), floating
 spectra with exact characteristic-polynomial oracles, collar recognition
 and eigenvalue certificates, and general power hypergraphs.
 """
@@ -31,7 +31,6 @@ from .line import (
 )
 from .matrices import (
     IntMatrix,
-    RationalVector,
     adjacency_matrix,
     cardinality_matrix,
     exact_kernel,

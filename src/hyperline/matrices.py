@@ -1,10 +1,10 @@
 """Exact integer matrices: incidence, cardinality, line adjacency, signless
 Laplacian, and exact kernel/rank computation.
 
-Everything here is exact: entries are Python integers of any size and
-kernel vectors are rationals; floating point appears only downstream in the
-eigensolver. An `IntMatrix` is immutable and stored row-major, but no hot
-path forms a dense product:
+Everything here is exact: matrix entries are Python integers of any size,
+and vectors, kernel vectors included, are plain `tuple[int, ...]`; floating
+point appears only downstream in the eigensolver. An `IntMatrix` is
+immutable and stored row-major, but no hot path forms a dense product:
 
 - `Q = B Bᵀ` is filled straight from the edge lists: each ordered pair of
   vertices of an edge adds 1, which is `O(Σ|e|²)` work plus the `n²` output.
@@ -23,7 +23,6 @@ small products of `spectra.char_poly_exact`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -124,22 +123,6 @@ class IntMatrix:
         lines = [f"{self.rows} {self.cols}"]
         lines += [" ".join(str(x) for x in self.row(i)) for i in range(self.rows)]
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class RationalVector:
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries: Iterable[Fraction | int]):
-        object.__setattr__(
-            self, "entries", tuple(Fraction(x) for x in entries)
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 def incidence_matrix(h: Hypergraph) -> IntMatrix:
@@ -244,7 +227,7 @@ def exact_rank(matrix: IntMatrix) -> int:
     return len(_row_reduce([list(matrix.row(i)) for i in range(matrix.rows)]))
 
 
-def _normalize_integer(ints: list[int]) -> RationalVector:
+def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
     # content 1, first non-zero entry positive
     g = gcd(*ints)
     if g > 1:
@@ -252,12 +235,12 @@ def _normalize_integer(ints: list[int]) -> RationalVector:
     lead = next((x for x in ints if x != 0), 1)
     if lead < 0:
         ints = [-x for x in ints]
-    return RationalVector(ints)
+    return tuple(ints)
 
 
 def exact_kernel(
     matrix: IntMatrix, fixed_zero_columns: Iterable[int] = ()
-) -> list[RationalVector]:
+) -> list[tuple[int, ...]]:
     """Integer basis of the null space, zero on the fixed columns.
 
     The kernel is taken over the columns outside `fixed_zero_columns` and
@@ -275,7 +258,7 @@ def exact_kernel(
     # basis vector for free column f is integral
     d = rows[0][pivots[0]] if pivots else 1
     pivot_set = set(pivots)
-    basis: list[RationalVector] = []
+    basis: list[tuple[int, ...]] = []
     for f in range(len(active)):
         if f in pivot_set:
             continue
@@ -287,11 +270,7 @@ def exact_kernel(
     return basis
 
 
-def matrix_vector(matrix: IntMatrix, vec: RationalVector) -> RationalVector:
+def matrix_vector(matrix: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     if matrix.cols != len(vec):
         raise ValueError("dimension mismatch")
-    x = vec.entries
-    return RationalVector(
-        sum(a * x[j] for j, a in enumerate(matrix.row(i)) if a)
-        for i in range(matrix.rows)
-    )
+    return tuple(sum(map(mul, matrix.row(i), vec)) for i in range(matrix.rows))

@@ -207,6 +207,38 @@ def test_cli_power_usage_error(tmp_path, capsys):
     assert main(["power", p4, "-t", "2", "-k", "3"]) == 2
 
 
+def spectrum_values(spec):
+    return [e["value"] for e in spec["eigenvalues"] for _ in range(e["multiplicity"])]
+
+
+def power_args(path, spectrum):
+    return ["power", path, "-t", "1", "-k", "3", "--uniform-pad", "--spectrum", spectrum]
+
+
+def test_cli_power_uniform_pad_on_non_uniform_base(tmp_path, capsys):
+    # the formula pads "c d" and "d e" by k - rt = 0, --uniform-pad by 1,
+    # so only the direct spectrum describes the padded power
+    mixed = write(tmp_path, "mixed.hg", "a b c\nc d\nd e\n")
+    for spectrum in ("formula", "both"):
+        assert main(power_args(mixed, spectrum)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    assert main(power_args(mixed, "direct")) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["direct"]
+    assert len(spectrum_values(data["direct"])) == 7  # 5 vertices + 2 pads
+
+
+def test_cli_power_uniform_pad_both_on_uniform_base(tmp_path, capsys):
+    p4 = write(tmp_path, "p4.hg", emit(helpers.path(4)))
+    args = ["power", p4, "-t", "2", "-k", "5", "--uniform-pad", "--spectrum", "both"]
+    assert main(args) == 0
+    data = json.loads(capsys.readouterr().out)
+    formula, direct = spectrum_values(data["formula"]), spectrum_values(data["direct"])
+    assert formula == pytest.approx(direct, abs=1e-7)
+
+
 def test_cli_collar_witness(tmp_path, capsys):
     c4 = write(tmp_path, "c4.hg", emit(helpers.cycle(4)))
     assert main(["collar", c4]) == 0
@@ -258,6 +290,11 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["info", "/nonexistent/x.hg"]) == 2
+
+
+def test_cli_directory_path(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_usage_errors(capsys):

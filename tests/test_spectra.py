@@ -115,7 +115,7 @@ def test_lower_bound_examples(trio):
 def test_certificate_examples(trio):
     cert = certificate_minus_r(helpers.cycle(4))
     assert cert is not None and cert.r == 2
-    assert [int(x) for x in cert.vector.entries] == [1, -1, 1, -1]
+    assert list(cert.vector) == [1, -1, 1, -1]
     assert certificate_minus_r(helpers.cycle(3)) is None
     assert certificate_minus_r(trio) is None
 
@@ -126,8 +126,8 @@ def test_certificate_zero_on_small_edges(collar3):
     host = Hypergraph(list(h.labels) + ["x"], list(h.edges) + [(0, h.n)])
     cert = certificate_minus_r(host)
     assert cert is not None and cert.r == 3
-    assert cert.vector.entries[host.m - 1] == 0
-    assert matrix_vector(incidence_matrix(host), cert.vector).is_zero()
+    assert cert.vector[host.m - 1] == 0
+    assert not any(matrix_vector(incidence_matrix(host), cert.vector))
     spec = eigenvalues_symmetric(line_adjacency(host))
     assert spec.contains(-3.0, 1e-7)
 
@@ -135,11 +135,8 @@ def test_certificate_zero_on_small_edges(collar3):
 def test_certificate_rejects_unverified_vector(monkeypatch):
     # a kernel vector that is not in ker B must be refused, not returned
     import hyperline.spectra as spectra
-    from hyperline import RationalVector
 
-    monkeypatch.setattr(
-        spectra, "exact_kernel", lambda b, fixed: [RationalVector([1] * b.cols)]
-    )
+    monkeypatch.setattr(spectra, "exact_kernel", lambda b, fixed: [(1,) * b.cols])
     with pytest.raises(AssertionError, match="exact verification"):
         certificate_minus_r(helpers.cycle(4))
 
@@ -150,7 +147,7 @@ def test_collar_certificate_c4_c6():
         witness = is_collar(h)
         cert = collar_certificate_vector(h, witness)
         expected = [1 if i % 2 == 0 else -1 for i in range(n)]
-        assert [int(x) for x in cert.vector.entries] == expected
+        assert list(cert.vector) == expected
         assert cert.r == 2
 
 
@@ -159,10 +156,10 @@ def test_collar_certificate_collar3(collar3):
     witness = is_collar(h)
     cert = collar_certificate_vector(h, witness)
     assert cert.r == 3
-    signs = [int(x) for x in cert.vector.entries]
+    signs = list(cert.vector)
     assert all(s in (1, -1) for s in signs)
     assert signs == [1 if coloring[i] == 1 else -1 for i in range(h.m)]
-    assert matrix_vector(incidence_matrix(h), cert.vector).is_zero()
+    assert not any(matrix_vector(incidence_matrix(h), cert.vector))
     assert eigenvalues_symmetric(line_adjacency(h)).contains(-3.0, 1e-7)
 
 
