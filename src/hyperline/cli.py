@@ -74,7 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collar", help="recognize or search for a collar")
     p.add_argument("file")
     p.add_argument("--search", action="store_true", help="search edge subsets")
-    p.add_argument("--max-edges", type=int, default=20)
+    p.add_argument(
+        "--max-edges",
+        type=int,
+        default=20,
+        help="refuse the search when more than this many edges carry a "
+        "non-zero entry of some ker B vector; a zero kernel answers none "
+        "with no search",
+    )
 
     p = sub.add_parser("generate", help="seeded random simple connected hypergraph")
     p.add_argument("--n", type=int, required=True)

@@ -3,7 +3,16 @@
 A collar is a hypergraph in which every vertex lies in exactly two edges
 and intersecting edges can be 2-colored with distinct colors; it plays the
 role an even cycle plays among graphs. Collars are recognized directly and
-searched for as sub-hypergraphs by bounded exhaustive enumeration.
+searched for as sub-hypergraphs.
+
+The search rests on the paper's kernel argument: a collar's signed ±1
+indicator lies in the kernel of the incidence matrix `B`. So an exact
+kernel computation comes first. A zero kernel (`B` of full column rank)
+proves that no collar exists, with no search at all; otherwise only the
+edges in the kernel's support are searched, exhaustively, and
+`max_edges` caps the size of that support, not the edge count. The
+library logs through the stdlib `logging` logger `hyperline.structure`, a
+child of `hyperline`, with no handler attached.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from typing import Mapping
 
 from .core import Hypergraph, degree_profile, is_uniform
 from .line import line_multigraph
+from .matrices import exact_kernel, incidence_matrix
 
 
 @dataclass(frozen=True)
@@ -178,22 +188,48 @@ def collar_implies_bipartite_check(h: Hypergraph) -> bool:
 def find_collar_subhypergraph(
     h: Hypergraph, max_edges: int = 20
 ) -> CollarWitness | None:
-    """Exhaustive lexicographic search for a collar among edge subsets.
+    """Lexicographic search for a collar among edge subsets, within ker B.
 
     A subset qualifies when every vertex it covers lies in exactly two of
-    its edges and its line graph is bipartite. Subsets are grown in
-    ascending index order, pruned as soon as a vertex would exceed two
-    incidences or a deficient vertex can no longer be completed, and the
-    lexicographically first witness is returned. Instances above
-    `max_edges` are refused rather than searched.
+    its edges and its line graph is bipartite. Its signed indicator (+1 on
+    one color, -1 on the other) is then a kernel vector of the incidence
+    matrix `B`, so a collar uses only edges on which some kernel vector is
+    non-zero. The search first computes `ker B` exactly: a zero kernel
+    proves that no collar exists. Otherwise subsets of the kernel support
+    are grown in ascending index order, pruned as soon as a vertex would
+    exceed two incidences or a deficient vertex can no longer be
+    completed, and the lexicographically first witness is returned; it is
+    the first among all edge subsets, since every witness and each of its
+    prefixes lie in the support. Supports larger than `max_edges` are
+    refused rather than searched.
+
+    Each call logs one debug record with `m`, the kernel dimension, the
+    support size and the outcome: "zero kernel", "witness found",
+    "exhaustive over support" or "support exceeds cap".
     """
-    if h.m > max_edges:
+    kernel = exact_kernel(incidence_matrix(h))
+    support = [i for i in range(h.m) if any(vec[i] for vec in kernel)]
+
+    def log(outcome: str) -> None:
+        # imported here: `logging` would add about 4% to `import hyperline.cli`
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "collar search: m=%d kernel_dim=%d support=%d: %s",
+            h.m, len(kernel), len(support), outcome,
+        )
+
+    if not kernel:
+        log("zero kernel")
+        return None
+    if len(support) > max_edges:
+        log("support exceeds cap")
         raise ValueError(f"instance exceeds search cap ({max_edges} edges)")
-    sets = [set(e) for e in h.edges]
-    last_idx: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
+    sets = [set(h.edges[i]) for i in support]
+    last_idx: dict[int, int] = {}  # position in `support`
+    for j, e in enumerate(sets):
         for v in e:
-            last_idx[v] = i
+            last_idx[v] = j
     count: dict[int, int] = {}
     chosen: list[int] = []
 
@@ -201,14 +237,14 @@ def find_collar_subhypergraph(
         return bool(chosen) and all(c == 2 for c in count.values() if c)
 
     def attempt(start: int) -> CollarWitness | None:
-        for j in range(start, h.m):
+        for j in range(start, len(support)):
             if any(c == 1 and last_idx[v] < j for v, c in count.items()):
                 return None  # some covered vertex can never reach two edges
             if any(count.get(v, 0) >= 2 for v in sets[j]):
                 continue
             for v in sets[j]:
                 count[v] = count.get(v, 0) + 1
-            chosen.append(j)
+            chosen.append(support[j])
             if complete():
                 coloring, connected = _two_color(_line_adjacency_sets(h, chosen))
                 if coloring is not None:
@@ -223,4 +259,6 @@ def find_collar_subhypergraph(
                 count[v] -= 1
         return None
 
-    return attempt(0)
+    witness = attempt(0)
+    log("exhaustive over support" if witness is None else "witness found")
+    return witness

@@ -87,6 +87,29 @@ def path(n: int) -> Hypergraph:
     return Hypergraph.from_edges([(i, i + 1) for i in range(n - 1)], n=n)
 
 
+def odd_bicycle() -> Hypergraph:
+    """Two triangles joined by an edge: ker B is non-zero on every edge,
+    yet no collar exists."""
+    return Hypergraph.from_edges(
+        [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)], n=6
+    )
+
+
+def bowtie() -> Hypergraph:
+    """Two triangles sharing a vertex: a non-zero kernel and no collar."""
+    return Hypergraph.from_edges([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], n=5)
+
+
+def interleaved_four_cycles() -> Hypergraph:
+    """Two disjoint 4-cycles a and b, edges in the order a0a1 b0b1 a1a2 b1b2
+    a2a3 b2b3 a3a0 b3b0; vertices a_i = 2i, b_i = 2i + 1."""
+    edges = []
+    for i in range(4):
+        j = (i + 1) % 4
+        edges += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
+    return Hypergraph.from_edges(edges, n=8)
+
+
 def complete_graph(n: int) -> Hypergraph:
     return Hypergraph.from_edges(itertools.combinations(range(n), 2), n=n)
 

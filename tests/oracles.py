@@ -1,7 +1,8 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here calls the code paths under test: connectivity is decided by
-relation closure, collars by full subset enumeration, eigenvalues by
+relation closure, collars by full subset enumeration (and by the search
+over all edges that the kernel-pruned search replaced), eigenvalues by
 isolating the real roots of the exact characteristic polynomial
 symbolically, and rank and kernel by a reduced row echelon form over
 `Fraction`s.
@@ -16,7 +17,7 @@ from math import gcd
 
 import sympy
 
-from hyperline import Hypergraph
+from hyperline import CollarWitness, Hypergraph
 
 
 def connected_oracle(h: Hypergraph) -> bool:
@@ -42,19 +43,26 @@ def connected_oracle(h: Hypergraph) -> bool:
     return all(all(row) for row in reach)
 
 
-def _subset_is_collar(h: Hypergraph, subset: tuple[int, ...]) -> bool:
+def _collar_coloring(
+    h: Hypergraph, subset: tuple[int, ...]
+) -> tuple[dict[int, int], bool] | None:
+    """The collar coloring of an edge subset, with the least edge of each
+    component colored 1, and whether the subset is one component; None
+    unless the subset is a collar."""
     count: dict[int, int] = {}
     for i in subset:
         for v in h.edges[i]:
             count[v] = count.get(v, 0) + 1
     if any(c != 2 for c in count.values()):
-        return False
+        return None
     sets = {i: set(h.edges[i]) for i in subset}
     adj = {i: [j for j in subset if j != i and sets[i] & sets[j]] for i in subset}
     color: dict[int, int] = {}
+    components = 0
     for root in subset:
         if root in color:
             continue
+        components += 1
         color[root] = 1
         stack = [root]
         while stack:
@@ -64,8 +72,8 @@ def _subset_is_collar(h: Hypergraph, subset: tuple[int, ...]) -> bool:
                     color[j] = 3 - color[i]
                     stack.append(j)
                 elif color[j] == color[i]:
-                    return False
-    return True
+                    return None
+    return color, components == 1
 
 
 def collar_oracle(h: Hypergraph) -> tuple[int, ...] | None:
@@ -76,9 +84,58 @@ def collar_oracle(h: Hypergraph) -> tuple[int, ...] | None:
         )
     )
     for subset in subsets:
-        if _subset_is_collar(h, subset):
+        if _collar_coloring(h, subset) is not None:
             return subset
     return None
+
+
+def collar_witness_oracle(h: Hypergraph) -> CollarWitness | None:
+    """`collar_oracle`'s subset with its coloring and connectivity."""
+    subset = collar_oracle(h)
+    if subset is None:
+        return None
+    return CollarWitness(subset, *_collar_coloring(h, subset))
+
+
+def collar_search_unpruned(h: Hypergraph) -> CollarWitness | None:
+    """Lexicographic depth-first search over all m edges, not only the
+    support of ker B: the route the kernel-pruned search replaced.
+
+    Subsets grow in ascending index order and are cut as soon as a vertex
+    would lie in three edges or a vertex in one edge can no longer gain a
+    second; the first subset that is a collar is returned.
+    """
+    sets = [set(e) for e in h.edges]
+    last_idx: dict[int, int] = {}
+    for i, e in enumerate(h.edges):
+        for v in e:
+            last_idx[v] = i
+    count: dict[int, int] = {}
+    chosen: list[int] = []
+
+    def attempt(start: int) -> CollarWitness | None:
+        for j in range(start, h.m):
+            if any(c == 1 and last_idx[v] < j for v, c in count.items()):
+                return None
+            if any(count.get(v, 0) >= 2 for v in sets[j]):
+                continue
+            for v in sets[j]:
+                count[v] = count.get(v, 0) + 1
+            chosen.append(j)
+            if all(c == 2 for c in count.values() if c):
+                found = _collar_coloring(h, tuple(chosen))
+                if found is not None:
+                    return CollarWitness(tuple(chosen), *found)
+            else:
+                found = attempt(j + 1)
+                if found is not None:
+                    return found
+            chosen.pop()
+            for v in sets[j]:
+                count[v] -= 1
+        return None
+
+    return attempt(0)
 
 
 @lru_cache(maxsize=None)

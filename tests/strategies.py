@@ -9,6 +9,15 @@ from hypothesis import assume, strategies as st
 from hyperline import Hypergraph, Multigraph
 
 
+def _relabel_covered(edges) -> Hypergraph:
+    """The hypergraph on the covered vertices, numbered in ascending order."""
+    covered = sorted({v for e in edges for v in e})
+    remap = {v: i for i, v in enumerate(covered)}
+    return Hypergraph.from_edges(
+        [sorted(remap[v] for v in e) for e in edges], n=len(covered)
+    )
+
+
 @st.composite
 def hypergraphs(draw, max_n: int = 7, max_m: int = 5, max_card: int = 5):
     """Simple hypergraphs without isolated vertices (not necessarily connected)."""
@@ -27,11 +36,21 @@ def hypergraphs(draw, max_n: int = 7, max_m: int = 5, max_card: int = 5):
             if i != j
         )
     )
-    covered = sorted({v for e in edges for v in e})
-    remap = {v: i for i, v in enumerate(covered)}
-    return Hypergraph.from_edges(
-        [sorted(remap[v] for v in e) for e in edges], n=len(covered)
+    return _relabel_covered(edges)
+
+
+@st.composite
+def uniform_hypergraphs(
+    draw, k: int, max_n: int = 9, min_m: int = 1, max_m: int = 12
+):
+    """Simple k-uniform hypergraphs without isolated vertices (equal sizes
+    rule out nested edges, so nothing is filtered)."""
+    n = draw(st.integers(min_value=k + 1, max_value=max_n))
+    edge = st.frozensets(
+        st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k
     )
+    edges = draw(st.lists(edge, min_size=min_m, max_size=max_m, unique=True))
+    return _relabel_covered(edges)
 
 
 @st.composite

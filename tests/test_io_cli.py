@@ -264,6 +264,33 @@ def test_cli_collar_search(tmp_path, capsys):
     assert data["certificate"] == [1, -1, 1, -1, 0]
 
 
+def test_cli_collar_search_full_rank_beyond_default_cap(tmp_path, capsys):
+    path = write(tmp_path, "path.hg", emit(helpers.path(26)))  # 25 edges, rank 25
+    assert main(["collar", path, "--search"]) == 0
+    assert capsys.readouterr().out == "none\n"
+
+
+def test_cli_collar_search_planted_beyond_default_cap(tmp_path, capsys):
+    from hyperline import Hypergraph
+
+    body = [(i, i + 1) for i in range(21)]  # a path: B of full column rank
+    c4 = [(21, 22), (22, 23), (23, 24), (24, 21)]
+    path = write(tmp_path, "planted.hg", emit(Hypergraph.from_edges(body + c4, n=25)))
+    assert main(["collar", path, "--search"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["edges"] == [21, 22, 23, 24]
+    assert data["certificate"] == [0] * 21 + [1, -1, 1, -1]
+    assert data["connected"] is True
+
+
+def test_cli_collar_search_cap_on_kernel_support(tmp_path, capsys):
+    path = write(tmp_path, "k63.hg", emit(helpers.complete_uniform(6, 3)))
+    assert main(["collar", path, "--search", "--max-edges", "10"]) == 2
+    assert "exceeds search cap (10 edges)" in capsys.readouterr().err
+    assert main(["collar", path, "--search"]) == 0  # support of 20 edges
+    assert json.loads(capsys.readouterr().out)["edges"] == [0, 1, 18, 19]
+
+
 def test_cli_generate_deterministic(capsys):
     assert main(["generate", "--n", "6", "--m", "4", "--seed", "1"]) == 0
     first = capsys.readouterr().out

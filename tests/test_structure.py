@@ -1,12 +1,16 @@
+import logging
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
     collar_implies_bipartite_check,
     check_collar_witness,
     degree_profile,
+    exact_kernel,
     find_collar_subhypergraph,
+    incidence_matrix,
     is_collar,
     line_multigraph,
     regularity_report,
@@ -15,7 +19,7 @@ from hyperline import (
 
 import helpers
 import strategies
-from oracles import collar_oracle
+from oracles import collar_oracle, collar_search_unpruned, collar_witness_oracle
 
 
 def test_regularity_cycle():
@@ -144,6 +148,77 @@ def test_find_collar_matches_oracle(h):
         assert w is not None
         assert w.edge_indices == expected  # both are lexicographically first
         check_collar_witness(h, w.edge_indices, w.coloring)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        strategies.uniform_hypergraphs(2, min_m=6),
+        strategies.uniform_hypergraphs(3, min_m=6),
+        strategies.hypergraphs(max_n=8, max_m=12, max_card=3),
+    )
+)
+@example(helpers.odd_bicycle())
+@example(helpers.bowtie())
+@example(helpers.interleaved_four_cycles())
+def test_find_collar_matches_unpruned_search(h):
+    w = find_collar_subhypergraph(h, max_edges=h.m)
+    assert w == collar_search_unpruned(h)
+    assert w == collar_witness_oracle(h)
+
+
+@pytest.mark.parametrize("h", [helpers.odd_bicycle(), helpers.bowtie()])
+def test_find_collar_none_despite_kernel(h):
+    # the kernel covers every edge, so "none" needs the exhaustive search
+    kernel = exact_kernel(incidence_matrix(h))
+    assert kernel and all(any(v[i] for v in kernel) for i in range(h.m))
+    assert find_collar_subhypergraph(h) is None
+    assert collar_oracle(h) is None
+
+
+def test_find_collar_first_witness_may_be_disconnected():
+    # a search split by line-graph component would return (0, 2, 4, 6)
+    h = helpers.interleaved_four_cycles()
+    w = find_collar_subhypergraph(h)
+    assert w is not None
+    assert w.edge_indices == tuple(range(8))
+    assert w.connected is False
+    assert w.coloring == {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2}
+    assert w.edge_indices == collar_oracle(h)
+
+
+def test_find_collar_cap_counts_kernel_support():
+    path = helpers.path(30)  # 29 edges, B of full column rank
+    assert find_collar_subhypergraph(path, max_edges=4) is None
+    with_c4 = Hypergraph.from_edges(
+        list(path.edges) + [(29, 30), (30, 31), (31, 32), (32, 29)], n=33
+    )
+    w = find_collar_subhypergraph(with_c4, max_edges=4)
+    assert w is not None and w.edge_indices == (29, 30, 31, 32)
+    with pytest.raises(ValueError, match="exceeds search cap"):
+        find_collar_subhypergraph(with_c4, max_edges=3)
+
+
+def test_find_collar_logs_why(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperline")
+    assert find_collar_subhypergraph(helpers.path(5)) is None
+    assert find_collar_subhypergraph(helpers.odd_bicycle()) is None
+    assert find_collar_subhypergraph(helpers.cycle(4)) is not None
+    with pytest.raises(ValueError):
+        find_collar_subhypergraph(helpers.complete_uniform(6, 3), max_edges=10)
+    assert [r.getMessage() for r in caplog.records] == [
+        "collar search: m=4 kernel_dim=0 support=0: zero kernel",
+        "collar search: m=7 kernel_dim=1 support=7: exhaustive over support",
+        "collar search: m=4 kernel_dim=1 support=4: witness found",
+        "collar search: m=20 kernel_dim=14 support=20: support exceeds cap",
+    ]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert all(r.name.startswith("hyperline") for r in caplog.records)
+
+
+def test_library_logger_has_no_handler():
+    assert logging.getLogger("hyperline").handlers == []
+    assert logging.getLogger("hyperline.structure").handlers == []
 
 
 @settings(deadline=None, max_examples=60)
