@@ -60,7 +60,6 @@ from .structure import (
     find_collar_subhypergraph,
     is_collar,
     regularity_report,
-    skew_iff_line_regular_check,
 )
 from .power import PowerParams, power_hypergraph, power_line_invariance_check
 from .checks import CheckEntry, CheckReport, run_all_checks

@@ -79,7 +79,7 @@ def run_all_checks(
     r, s = a.rank, a.corank
     connected = is_connected(h)
     uniform = is_uniform(h)
-    lm = a.line
+    lm = h.line
     entries: list[CheckEntry] = []
 
     if 0 in h.degrees:

@@ -13,15 +13,21 @@ inspected. All types are immutable values.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A general hypergraph: labelled vertices plus an ordered edge list."""
+    """A general hypergraph: labelled vertices plus an ordered edge list.
+
+    The incidence index, the degrees and the line multigraph are derived
+    from the edges once, on first use, and cached on the value; every
+    reader of how edges meet reads them from here.
+    """
 
     labels: tuple[str, ...]
     edges: tuple[tuple[int, ...], ...]
@@ -60,13 +66,25 @@ class Hypergraph:
         return tuple(tuple(self.labels[v] for v in e) for e in self.edges)
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        """Per-vertex edge-membership counts, counted once on first use."""
-        degs = [0] * self.n
-        for e in self.edges:
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ascending indices of the edges through it."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
             for v in e:
-                degs[v] += 1
-        return tuple(degs)
+                inc[v].append(i)
+        return tuple(map(tuple, inc))
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per-vertex edge-membership counts."""
+        return tuple(map(len, self.incidence))
+
+    @cached_property
+    def line(self) -> Multigraph:
+        """The line multigraph: each vertex adds 1 to every pair of its
+        edges, so edges i, j are joined |e_i ∩ e_j| times; O(Σ d(v)²)."""
+        pairs = Counter(p for inc in self.incidence for p in combinations(inc, 2))
+        return Multigraph(self.m, pairs)
 
 
 @dataclass(frozen=True)
@@ -248,16 +266,12 @@ def is_connected(h: Hypergraph) -> bool:
     """
     if h.n <= 1:
         return True
-    incidence: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incidence[v].append(i)
     seen_v = {0}
     seen_e: set[int] = set()
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for i in incidence[v]:
+        for i in h.incidence[v]:
             if i in seen_e:
                 continue
             seen_e.add(i)

@@ -24,17 +24,10 @@ class LineMultigraph:
 
 
 def line_multigraph(h: Hypergraph) -> LineMultigraph:
-    """Pairwise intersection cardinalities as edge multiplicities."""
+    """The line multigraph `h.line`, labelled with the source edges."""
     if h.m == 0:
         raise ValueError("no hyperedges")
-    mults: dict[tuple[int, int], int] = {}
-    sets = [set(e) for e in h.edges]
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            c = len(sets[i] & sets[j])
-            if c:
-                mults[(i, j)] = c
-    return LineMultigraph(Multigraph(h.m, mults), h.edge_label_sets())
+    return LineMultigraph(h.line, h.edge_label_sets())
 
 
 def line_degree_formula(h: Hypergraph, i: int) -> int:
@@ -74,17 +67,12 @@ def reduce_core(h: Hypergraph) -> Hypergraph:
     """
     edges = [set(e) for e in h.edges]
     alive = [True] * h.n
-    changed = True
-    while changed:
-        changed = False
-        for v in range(h.n):
-            if not alive[v]:
-                continue
-            incident = [j for j, e in enumerate(edges) if v in e]
-            if len(incident) == 1 and len(edges[incident[0]]) >= 3:
-                edges[incident[0]].discard(v)
-                alive[v] = False
-                changed = True
+    # stripping v changes no other degree and only shrinks edges, so a vertex
+    # skipped here never becomes strippable: one pass reaches the fixpoint
+    for v, incident in enumerate(h.incidence):
+        if len(incident) == 1 and len(edges[incident[0]]) >= 3:
+            edges[incident[0]].discard(v)
+            alive[v] = False
     remap = {}
     labels = []
     for v in range(h.n):

@@ -8,10 +8,11 @@ immutable and stored row-major, but no hot path forms a dense product:
 
 - `Q = B Bᵀ` is filled straight from the edge lists: each ordered pair of
   vertices of an edge adds 1, which is `O(Σ|e|²)` work plus the `n²` output.
-- `Bᵀ B` in `gram_identity_check` is filled from each vertex's list of
-  incident edges, `O(Σ d(v)²)`, and compared with `C + A_L` built from the
-  line multigraph's set intersections, so the identity compares two
-  independent routes.
+- `Bᵀ B = C + A_L` is checked in `gram_identity_check` without forming
+  either side: each pair the line multigraph lists must have its edges'
+  intersection as its multiplicity, and the total multiplicity must equal
+  the count `line_edge_count` takes from degrees alone, which leaves no
+  unlisted pair room to meet.
 - Rank and kernel come from fraction-free Gauss-Jordan elimination
   (Bareiss) on integer rows; the elimination forms no `Fraction`.
 
@@ -28,7 +29,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .core import Hypergraph, Multigraph
-from .line import line_multigraph
+from .line import line_edge_count
 
 
 @dataclass(frozen=True)
@@ -149,40 +150,33 @@ def adjacency_matrix(g: Multigraph) -> IntMatrix:
     return IntMatrix(n, n, tuple(ent))
 
 
-def _co_membership(groups: Iterable[Iterable[int]], size: int) -> IntMatrix:
-    """size x size matrix whose (a, b) entry counts the groups holding both."""
-    ent = [0] * (size * size)
-    for group in groups:
-        for a in group:
-            base = a * size
-            for b in group:
-                ent[base + b] += 1
-    return IntMatrix(size, size, tuple(ent))
-
-
 def signless_laplacian(h: Hypergraph) -> IntMatrix:
     """B B^T: degrees on the diagonal, co-membership counts off it."""
-    return _co_membership(h.edges, h.n)
-
-
-def _gram_matrix(h: Hypergraph) -> IntMatrix:
-    """B^T B from each vertex's list of incident edges."""
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for j, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(j)
-    return _co_membership(incident, h.m)
+    n = h.n
+    ent = [0] * (n * n)
+    for e in h.edges:
+        for a in e:
+            base = a * n
+            for b in e:
+                ent[base + b] += 1
+    return IntMatrix(n, n, tuple(ent))
 
 
 def gram_identity_check(h: Hypergraph) -> bool:
-    """Exact entrywise test of B^T B = C + A_L.
+    """Exact test of B^T B = C + A_L, off the diagonal (both diagonals are |e_i|).
 
     Always true for a correct implementation; exposed as a loud self-test.
-    The left side comes from vertex incidences, the right from pairwise
-    edge intersections.
+    Every pair the line multigraph lists must carry the size of its edges'
+    intersection. The total multiplicity must equal the sum over vertices
+    of d(v)(d(v) - 1)/2, which counts every pair's intersection from degrees
+    alone, so every pair left unlisted meets in no vertex.
     """
-    rhs = cardinality_matrix(h) + adjacency_matrix(line_multigraph(h).graph)
-    return _gram_matrix(h) == rhs
+    g = h.line
+    sets = [set(e) for e in h.edges]
+    listed = all(
+        mult == len(sets[i] & sets[j]) for (i, j), mult in g.multiplicities.items()
+    )
+    return listed and g.total_multiplicity() == line_edge_count(h)
 
 
 def _row_reduce(rows: list[list[int]]) -> list[int]:

@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypergraph, Multigraph, is_uniform, rank_corank
-from .line import line_multigraph
+from .core import Hypergraph, is_uniform, rank_corank
 from .matrices import (
     IntMatrix,
     adjacency_matrix,
@@ -245,7 +244,8 @@ class Analysis:
     `tolerance` is the one float rule: a bound holds when it is met to within
     it, and is attained when the gap to it is at most it. `B`, its kernel
     and the -r certificate have a single reader each, so they stay plain
-    calls (`incidence_matrix`, `certificate_minus_r`).
+    calls (`incidence_matrix`, `certificate_minus_r`). The line multigraph
+    is `h.line`, cached on the hypergraph itself.
     """
 
     def __init__(self, h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE):
@@ -257,12 +257,8 @@ class Analysis:
         return abs(value - bound) <= self.tolerance
 
     @cached_property
-    def line(self) -> Multigraph:
-        return line_multigraph(self.h).graph
-
-    @cached_property
     def line_spectrum(self) -> Spectrum:
-        return eigenvalues_symmetric(adjacency_matrix(self.line), self.tolerance)
+        return eigenvalues_symmetric(adjacency_matrix(self.h.line), self.tolerance)
 
     @cached_property
     def q_spectrum(self) -> Spectrum:

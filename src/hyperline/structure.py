@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from .core import Hypergraph, degree_profile, is_uniform
-from .line import line_multigraph
 from .matrices import exact_kernel, incidence_matrix
 
 
@@ -66,36 +66,21 @@ def regularity_report(h: Hypergraph) -> RegularityReport:
     skews = [s - len(e) for s, e in zip(sums, h.edges)]
     edge_regular = sums[0] if sums and len(set(sums)) == 1 else None
     skew = skews[0] if skews and len(set(skews)) == 1 else None
-    sets = [set(e) for e in h.edges]
-    linear = all(
-        len(sets[i] & sets[j]) <= 1
-        for i in range(h.m)
-        for j in range(i + 1, h.m)
-    )
+    # off the diagonal of Q = B B^T: no vertex pair lies in two edges
+    pairs = [p for e in h.edges for p in combinations(e, 2)]
+    linear = len(pairs) == len(set(pairs))
     return RegularityReport(regular, edge_regular, skew, linear)
 
 
-def line_is_regular(h: Hypergraph) -> bool:
-    g = line_multigraph(h).graph
-    return len({g.degree(v) for v in range(g.order)}) <= 1
-
-
-def skew_iff_line_regular_check(h: Hypergraph) -> bool:
-    """Self-test: line-multigraph regularity must match skew edge-regularity."""
-    skew = regularity_report(h).skew_edge_regular is not None
-    return line_is_regular(h) == skew
-
-
 def _line_adjacency_sets(h: Hypergraph, chosen: list[int]) -> dict[int, list[int]]:
-    sets = {i: set(h.edges[i]) for i in chosen}
-    adj: dict[int, list[int]] = {i: [] for i in chosen}
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            i, j = chosen[a], chosen[b]
-            if sets[i] & sets[j]:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+    """Ascending distinct line neighbours of each chosen edge, among `chosen`."""
+    members = set(chosen)
+    return {
+        i: sorted(
+            {j for v in h.edges[i] for j in h.incidence[v] if j != i and j in members}
+        )
+        for i in chosen
+    }
 
 
 def _two_color(adj: dict[int, list[int]]) -> tuple[dict[int, int] | None, bool]:
@@ -160,11 +145,10 @@ def check_collar_witness(
             count[v] = count.get(v, 0) + 1
     if any(c != 2 for c in count.values()):
         raise ValueError("not 2-regular on collar vertices")
-    sets = {i: set(h.edges[i]) for i in chosen}
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            i, j = chosen[a], chosen[b]
-            if sets[i] & sets[j] and coloring[i] == coloring[j]:
+    adj = _line_adjacency_sets(h, chosen)
+    for i in chosen:
+        for j in adj[i]:
+            if j > i and coloring[i] == coloring[j]:
                 raise ValueError(f"coloring invalid: adjacent edges {i}, {j} share a color")
 
 
@@ -174,7 +158,7 @@ def collar_implies_bipartite_check(h: Hypergraph) -> bool:
     witness = is_collar(h)
     if witness is None:
         raise ValueError("not a collar")
-    g = line_multigraph(h).graph
+    g = h.line
     for i, j, _ in g.pairs():
         if witness.coloring[i] == witness.coloring[j]:
             return False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from hyperline import Hypergraph, Multigraph
+from hyperline import Hypergraph, Multigraph, line_multigraph
 
 TRIO_TEXT = "1 2 3\n1 4 5\n3 4 5\n"
 
@@ -175,6 +175,12 @@ def uniform_edge_regular_family() -> list[Hypergraph]:
     out += [collar3()[0], single_edge(3)]
     assert len(out) == 20
     return out
+
+
+def line_is_regular(h: Hypergraph) -> bool:
+    """Whether every vertex of the line multigraph has the same degree."""
+    g = line_multigraph(h).graph
+    return len({g.degree(v) for v in range(g.order)}) <= 1
 
 
 def triangle_with_doubled_edge() -> Multigraph:

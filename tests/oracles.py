@@ -1,11 +1,12 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here calls the code paths under test: connectivity is decided by
-relation closure, collars by full subset enumeration (and by the search
-over all edges that the kernel-pruned search replaced), eigenvalues by
-isolating the real roots of the exact characteristic polynomial
-symbolically, and rank and kernel by a reduced row echelon form over
-`Fraction`s.
+relation closure, line multiplicities and linearity by intersecting every
+pair of edges, `reduce_core` by rescanning to a fixpoint, collars by full
+subset enumeration (and by the search over all edges that the
+kernel-pruned search replaced), eigenvalues by isolating the real roots of
+the exact characteristic polynomial symbolically, and rank and kernel by a
+reduced row echelon form over `Fraction`s.
 """
 
 from __future__ import annotations
@@ -41,6 +42,50 @@ def connected_oracle(h: Hypergraph) -> bool:
                     reach[i][j] = True
                     changed = True
     return all(all(row) for row in reach)
+
+
+def line_oracle(h: Hypergraph) -> dict[tuple[int, int], int]:
+    """Non-zero line multiplicities by intersecting every pair of edges."""
+    sets = [set(e) for e in h.edges]
+    mults = {}
+    for i in range(h.m):
+        for j in range(i + 1, h.m):
+            c = len(sets[i] & sets[j])
+            if c:
+                mults[(i, j)] = c
+    return mults
+
+
+def linear_oracle(h: Hypergraph) -> bool:
+    """No two edges share more than one vertex, over every pair of edges."""
+    sets = [set(e) for e in h.edges]
+    return all(
+        len(sets[i] & sets[j]) <= 1 for i in range(h.m) for j in range(i + 1, h.m)
+    )
+
+
+def reduce_core_fixpoint(h: Hypergraph) -> Hypergraph:
+    """`reduce_core` by rescanning all vertices until a pass strips none."""
+    edges = [set(e) for e in h.edges]
+    alive = [True] * h.n
+    changed = True
+    while changed:
+        changed = False
+        for v in range(h.n):
+            if not alive[v]:
+                continue
+            incident = [j for j, e in enumerate(edges) if v in e]
+            if len(incident) == 1 and len(edges[incident[0]]) >= 3:
+                edges[incident[0]].discard(v)
+                alive[v] = False
+                changed = True
+    remap = {}
+    labels = []
+    for v in range(h.n):
+        if alive[v]:
+            remap[v] = len(labels)
+            labels.append(h.labels[v])
+    return Hypergraph(labels, [sorted(remap[v] for v in e) for e in edges])
 
 
 def _collar_coloring(

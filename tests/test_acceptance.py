@@ -40,8 +40,6 @@ from hyperline import (
     signless_laplacian,
     uniformize,
 )
-from hyperline.structure import line_is_regular
-
 import helpers
 from oracles import charpoly_real_roots
 
@@ -188,14 +186,14 @@ def test_criterion_06_regularity_equivalence(bundles, skew_family):
     for item in bundles:
         h = item["h"]
         skew = regularity_report(h).skew_edge_regular is not None
-        if skew != line_is_regular(h):
+        if skew != helpers.line_is_regular(h):
             failures.append(f"equivalence breaks on corpus instance {h}")
     if len(skew_family) != 50:
         failures.append(f"skew family has {len(skew_family)} members")
     for h in skew_family:
         if regularity_report(h).skew_edge_regular is None:
             failures.append("construction not skew edge-regular")
-        if not line_is_regular(h):
+        if not helpers.line_is_regular(h):
             failures.append("skew construction with irregular line multigraph")
     finish(6, "regularity equivalence (corpus + 50 constructions)", failures)
 

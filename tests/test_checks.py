@@ -1,11 +1,14 @@
 import time
+from functools import cached_property
 
 import pytest
 
 import hyperline.spectra
-from hyperline import Analysis, Hypergraph, run_all_checks
+from hyperline import Analysis, Hypergraph, Multigraph, run_all_checks
 
 import helpers
+
+build_line = Hypergraph.line.func
 
 
 def entry_map(report):
@@ -101,12 +104,60 @@ def test_checks_build_each_derived_object_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(hyperline.spectra, name, counted)
+
+    def counted_line(h):
+        counts["line"] = counts.get("line", 0) + 1
+        return build_line(h)
+
+    line = cached_property(counted_line)
+    line.__set_name__(Hypergraph, "line")
+    monkeypatch.setattr(Hypergraph, "line", line)
     assert run_all_checks(helpers.circulant(60, 4)).passed
+    # the line is built for the base and for its power, nowhere else
     assert counts == {
         "eigenvalues_symmetric": 2,
         "signless_laplacian": 1,
         "regularity_report": 1,
+        "line": 2,
     }
+
+
+def raise_first_multiplicity(h):
+    g = build_line(h)
+    first = min(g.multiplicities)
+    return Multigraph(g.order, {**g.multiplicities, first: g.multiplicities[first] + 1})
+
+
+def skip_pairs(h):
+    mults = {}
+    for inc in h.incidence:
+        for a, i in enumerate(inc):
+            for j in inc[a + 2 :]:
+                mults[(i, j)] = mults.get((i, j), 0) + 1
+    return Multigraph(h.m, mults)
+
+
+LINE_ROUTES = {"gram-identity", "line-degree-formula", "line-edge-count"}
+
+
+# each check must recompute its side without the line's own incidence lists
+@pytest.mark.parametrize(
+    "build, h, failing",
+    [
+        (raise_first_multiplicity, helpers.circulant(20, 4), LINE_ROUTES),
+        (
+            raise_first_multiplicity,
+            helpers.complete_graph(5),
+            LINE_ROUTES | {"linearity-gives-simple-line"},
+        ),
+        (skip_pairs, helpers.circulant(20, 4), {"gram-identity"}),
+    ],
+    ids=["raised-circulant", "raised-complete-graph", "skipped-pairs"],
+)
+def test_checks_catch_a_corrupted_line(monkeypatch, build, h, failing):
+    monkeypatch.setattr(Hypergraph, "line", property(build))
+    failed = {e.name for e in run_all_checks(h).entries if not e.passed}
+    assert failing <= failed
 
 
 # no instance here has a bound gap between 1e-9 and 1e-6, so only 0.1 would

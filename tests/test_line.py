@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
@@ -22,6 +22,7 @@ from hyperline.structure import regularity_report
 
 import helpers
 import strategies
+from oracles import line_oracle, linear_oracle, reduce_core_fixpoint
 
 
 def test_line_multigraph_trio(trio):
@@ -155,6 +156,36 @@ def test_reduce_and_uniformize_preserve_line(h):
     base = line_multigraph(h).graph
     assert line_multigraph(reduce_core(h)).graph == base
     assert line_multigraph(uniformize(h)).graph == base
+
+
+def assert_line_and_linearity_match_all_pairs(h):
+    assert line_multigraph(h).graph == Multigraph(h.m, line_oracle(h))
+    assert regularity_report(h).linear == linear_oracle(h)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        strategies.hypergraphs(),
+        st.integers(min_value=2, max_value=4).flatmap(strategies.uniform_hypergraphs),
+    )
+)
+def test_line_and_linearity_match_all_pairs_random(h):
+    assert_line_and_linearity_match_all_pairs(h)
+
+
+def test_line_and_linearity_match_all_pairs_circulant():
+    assert_line_and_linearity_match_all_pairs(helpers.circulant(200, 4))
+
+
+@settings(deadline=None)
+@given(strategies.hypergraphs())
+def test_reduce_core_one_pass_matches_fixpoint(h):
+    # padding adds degree-one vertices to every short edge
+    for x in (h, uniformize(h)):
+        reduced, expected = reduce_core(x), reduce_core_fixpoint(x)
+        assert reduced.labels == expected.labels
+        assert reduced.edges == expected.edges
 
 
 @settings(deadline=None)

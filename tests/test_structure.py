@@ -14,7 +14,6 @@ from hyperline import (
     is_collar,
     line_multigraph,
     regularity_report,
-    skew_iff_line_regular_check,
 )
 
 import helpers
@@ -43,8 +42,9 @@ def test_regularity_path_not_edge_regular():
 
 
 def test_skew_iff_examples(trio):
-    assert skew_iff_line_regular_check(helpers.cycle(4))
-    assert skew_iff_line_regular_check(trio)
+    for h in (helpers.cycle(4), trio):
+        skew = regularity_report(h).skew_edge_regular is not None
+        assert skew == helpers.line_is_regular(h)
     g = line_multigraph(trio).graph
     assert [g.degree(i) for i in range(3)] == [2, 3, 3]  # both sides false
 
@@ -52,7 +52,8 @@ def test_skew_iff_examples(trio):
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_skew_iff_random(h):
-    assert skew_iff_line_regular_check(h)
+    skew = regularity_report(h).skew_edge_regular is not None
+    assert skew == helpers.line_is_regular(h)
 
 
 def test_skew_family_both_sides_true(skew_family):
