@@ -68,9 +68,12 @@ class Hypergraph:
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the ascending indices of the edges through it."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
+        n = self.n
+        inc: list[list[int]] = [[] for _ in range(n)]
         for i, e in enumerate(self.edges):
             for v in e:
+                if not 0 <= v < n:
+                    raise ValueError(f"edge {i} references unknown vertex index {v}")
                 inc[v].append(i)
         return tuple(map(tuple, inc))
 
@@ -179,12 +182,20 @@ def validate(h: Hypergraph) -> list[Violation]:
     """Check the simple-hypergraph invariants, returning violations as data.
 
     Errors: cardinality-one edges, nested edges, duplicate edges, vertex
-    indices outside 0..n-1. Isolated vertices are reported as a warning
-    only, since they are representable but excluded by most structural
-    results on connectivity.
+    indices outside 0..n-1. This is the one definition of "simple"; the
+    generator accepts its draws by it too. Nested pairs (i, j), e_i a
+    proper subset of e_j, come in ascending order from a per-vertex index
+    of the raw entries, in O(Σ_e Σ_{v∈e} d(v)) rather than over all edge
+    pairs; an empty edge is nested in every non-empty one. Isolated
+    vertices are reported as a warning only, since they are representable
+    but excluded by most structural results on connectivity.
     """
     out: list[Violation] = []
+    # keyed by raw entries, not h.incidence, which rejects stray indices
+    through: dict[int, set[int]] = {}
     for i, e in enumerate(h.edges):
+        for v in e:
+            through.setdefault(v, set()).add(i)
         bad = [v for v in e if not 0 <= v < h.n]
         if bad:
             out.append(
@@ -208,16 +219,15 @@ def validate(h: Hypergraph) -> list[Violation]:
             )
         else:
             seen[e] = i
-    sets = [set(e) for e in h.edges]
-    for i, ei in enumerate(h.edges):
-        for j, ej in enumerate(h.edges):
-            if i != j and ei != ej and sets[i] <= sets[j]:
-                out.append(
-                    Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j))
-                )
-    covered = {v for e in h.edges for v in e}
+    for i, e in enumerate(h.edges):
+        # an edge holding e passes through all of its vertices; only a larger
+        # one nests it, which skips e and its duplicates
+        holders = set.intersection(*(through[v] for v in e)) if e else range(h.m)
+        for j in sorted(holders):
+            if len(h.edges[j]) > len(e):
+                out.append(Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j)))
     for v in range(h.n):
-        if v not in covered:
+        if v not in through:
             out.append(
                 Violation(
                     "isolated-vertex",
@@ -252,10 +262,8 @@ def rank_corank(h: Hypergraph) -> tuple[int, int]:
 
 def is_uniform(h: Hypergraph) -> int | None:
     """The common edge cardinality k, or None for non-uniform inputs."""
-    if h.m == 0:
-        raise ValueError("no hyperedges")
-    sizes = {len(e) for e in h.edges}
-    return sizes.pop() if len(sizes) == 1 else None
+    r, s = rank_corank(h)
+    return r if r == s else None
 
 
 def is_connected(h: Hypergraph) -> bool:

@@ -1,15 +1,15 @@
 """Seeded random generation of simple connected hypergraphs.
 
 Rejection sampling: draw m edges with cardinalities in 2..max_card, retry
-until the edge set is simple (distinct, non-nested) and the incidence
-structure is connected. Deterministic for a fixed seed.
+until the incidence structure is connected and then the edge set passes
+`is_valid` (distinct, non-nested). Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
 
-from .core import Hypergraph, is_connected
+from .core import Hypergraph, is_connected, is_valid
 
 
 def generate_hypergraph(
@@ -29,26 +29,14 @@ def generate_hypergraph(
     top = min(max_card, n)
     labels = [str(i + 1) for i in range(n)]
     for _ in range(max_attempts):
-        edges = []
-        for _ in range(m):
-            card = rng.randint(2, top)
-            edges.append(tuple(sorted(rng.sample(range(n), card))))
-        if _simple(edges):
-            h = Hypergraph(labels, edges)
-            if is_connected(h):
-                return h
+        h = Hypergraph(
+            labels, [rng.sample(range(n), rng.randint(2, top)) for _ in range(m)]
+        )
+        # connectivity rejects most draws, and cheaply; validate builds
+        # every violation with its message, so it runs only on survivors
+        if is_connected(h) and is_valid(h):
+            return h
     raise ValueError(
         f"could not generate a simple connected hypergraph with "
         f"n={n}, m={m}, max_card={max_card} after {max_attempts} attempts"
     )
-
-
-def _simple(edges: list[tuple[int, ...]]) -> bool:
-    if len(set(edges)) != len(edges):
-        return False
-    sets = [set(e) for e in edges]
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if i != j and sets[i] <= sets[j]:
-                return False
-    return True

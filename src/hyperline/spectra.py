@@ -27,6 +27,7 @@ from .matrices import (
     matrix_vector,
     signless_laplacian,
 )
+from .power import PowerParams
 from .structure import (
     CollarWitness,
     RegularityReport,
@@ -324,11 +325,7 @@ def power_spectrum_formula(
     then zeros filling up to t*n + m*q values.
     """
     r, _ = rank_corank(base)
-    if t < 1:
-        raise ValueError(f"expansion factor must be >= 1, got {t}")
-    q = k - r * t
-    if q < 0:
-        raise ValueError(f"k < rt: k={k}, r*t={r * t}")
+    q = PowerParams(t, k).padding(r)
     n, m = base.n, base.m
     p = exact_rank(incidence_matrix(base))
     base_spec = eigenvalues_symmetric(signless_laplacian(base), tolerance)

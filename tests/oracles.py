@@ -1,12 +1,12 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here calls the code paths under test: connectivity is decided by
-relation closure, line multiplicities and linearity by intersecting every
-pair of edges, `reduce_core` by rescanning to a fixpoint, collars by full
-subset enumeration (and by the search over all edges that the
-kernel-pruned search replaced), eigenvalues by isolating the real roots of
-the exact characteristic polynomial symbolically, and rank and kernel by a
-reduced row echelon form over `Fraction`s.
+relation closure, line multiplicities, linearity and nested edges by
+testing every pair of edges, `reduce_core` by rescanning to a fixpoint,
+collars by full subset enumeration (and by the search over all edges that
+the kernel-pruned search replaced), eigenvalues by isolating the real
+roots of the exact characteristic polynomial symbolically, and rank and
+kernel by a reduced row echelon form over `Fraction`s.
 """
 
 from __future__ import annotations
@@ -62,6 +62,18 @@ def linear_oracle(h: Hypergraph) -> bool:
     return all(
         len(sets[i] & sets[j]) <= 1 for i in range(h.m) for j in range(i + 1, h.m)
     )
+
+
+def nested_pairs_oracle(h: Hypergraph) -> list[tuple[int, int]]:
+    """Every (i, j) with e_i a proper subset of e_j, by testing all ordered
+    pairs of edges, in ascending order."""
+    sets = [set(e) for e in h.edges]
+    return [
+        (i, j)
+        for i, ei in enumerate(h.edges)
+        for j, ej in enumerate(h.edges)
+        if i != j and ei != ej and sets[i] <= sets[j]
+    ]
 
 
 def reduce_core_fixpoint(h: Hypergraph) -> Hypergraph:

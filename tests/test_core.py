@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
@@ -11,6 +11,7 @@ from hyperline import (
     is_uniform,
     is_valid,
     rank_corank,
+    Violation,
     validate,
     zagreb_index,
     line_multigraph,
@@ -20,7 +21,7 @@ from hyperline import (
 
 import helpers
 import strategies
-from oracles import connected_oracle
+from oracles import connected_oracle, nested_pairs_oracle
 
 
 def test_validate_trio_clean(trio):
@@ -51,6 +52,60 @@ def test_validate_isolated_vertex_is_warning():
     violations = validate(h)
     assert [v.severity for v in violations] == ["warning"]
     assert is_valid(h)
+
+
+@pytest.mark.parametrize("stray", [-1, 3])
+def test_incidence_rejects_stray_indices(stray):
+    h = Hypergraph(["a", "b", "c"], [[stray, 0], [1, 2]])
+    message = f"edge 0 references unknown vertex index {stray}"
+    for read in (lambda: h.incidence, lambda: h.degrees, lambda: h.line):
+        with pytest.raises(ValueError, match=message):
+            read()
+    with pytest.raises(ValueError, match=message):
+        is_connected(h)
+    assert [(v.rule, v.message) for v in validate(h)] == [
+        ("index-out-of-range", message)
+    ]
+
+
+def test_validate_empty_edge_is_nested_in_every_nonempty_edge():
+    h = Hypergraph(["a", "b", "c"], [[0, 1], [], [1, 2], []])
+    nested = [v for v in validate(h) if v.rule == "nested-edge"]
+    assert [v.edges for v in nested] == [(1, 0), (1, 2), (3, 0), (3, 2)]
+
+
+_BEFORE_NESTED = ("index-out-of-range", "cardinality-one", "duplicate-edge")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(min_value=-2, max_value=n + 1), max_size=4),
+                max_size=7,
+            ),
+        )
+    )
+)
+@example((3, [[0, 1], [], [0], [0, 1], [0, 1, 2], [-1, 0], [1, 4]]))
+# a set of these edge indices iterates as 8, 1, 2: the pairs must be sorted
+@example((22, [[10, 11], [0, 1], [0, 1, 2], [12, 13], [14, 15], [16, 17],
+               [18, 19], [20, 21], [0, 1, 3]]))
+def test_validate_nested_pairs_match_all_pairs_oracle(case):
+    n, edges = case
+    h = Hypergraph([str(v) for v in range(n)], edges)
+    got = validate(h)
+    # the oracle's pairs, in order, form one block after the per-edge and
+    # duplicate errors and before the isolated-vertex warnings
+    before = [v for v in got if v.rule in _BEFORE_NESTED]
+    after = [v for v in got if v.rule == "isolated-vertex"]
+    nested = [
+        Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j))
+        for i, j in nested_pairs_oracle(h)
+    ]
+    assert got == before + nested + after
 
 
 def test_degree_profile_trio(trio):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hyperline import (
@@ -51,3 +53,24 @@ def test_outputs_validate_and_mutations_are_rejected():
         nested = Hypergraph(h.labels, list(h.edges) + [h.edges[0][:2]])
         rules = {v.rule for v in validate(nested)}
         assert "nested-edge" in rules or "duplicate-edge" in rules
+
+
+def _digest(hypergraphs) -> str:
+    return hashlib.sha256(
+        repr([(h.labels, h.edges) for h in hypergraphs]).encode()
+    ).hexdigest()
+
+
+# The corpus feeds the acceptance tests, so a change to what the generator
+# draws or accepts must change these digests on purpose.
+def test_corpus_output_is_pinned(corpus):
+    assert _digest(corpus) == (
+        "d0574bfec465b39fc1638c1c46cd878ca609b149716663eab731953a482d6a9c"
+    )
+
+
+def test_benchmark_sized_output_is_pinned():
+    outputs = [generate_hypergraph(40, 30, 4, 1), generate_hypergraph(60, 44, 4, 2)]
+    assert _digest(outputs) == (
+        "561afefca958ee46d4cc9f5d0f3f95d691b5b1dacec601f2d139c3e945af2a7f"
+    )

@@ -254,6 +254,11 @@ def test_power_spectrum_rejects_small_k(trio):
         power_spectrum_formula(trio, t=2, k=5)
 
 
+def test_power_spectrum_rejects_zero_expansion(trio):
+    with pytest.raises(ValueError, match="expansion factor must be >= 1"):
+        power_spectrum_formula(trio, 0, 3)
+
+
 @settings(deadline=None, max_examples=60)
 @given(strategies.symmetric_int_matrices(max_order=5))
 def test_char_poly_scaling_law(rows):
