@@ -37,6 +37,7 @@ from .matrices import (
     exact_rank,
     gram_identity_check,
     incidence_matrix,
+    incidence_product,
     matrix_vector,
     signless_laplacian,
 )

@@ -22,7 +22,7 @@ from .core import (
 from .generate import generate_hypergraph
 from .io import emit, parse_path
 from .line import line_multigraph
-from .matrices import adjacency_matrix, incidence_matrix, matrix_vector, signless_laplacian
+from .matrices import adjacency_matrix, incidence_product, signless_laplacian
 from .power import PowerParams, power_hypergraph
 from .spectra import DEFAULT_TOLERANCE, eigenvalues_symmetric, power_spectrum_formula
 from .structure import find_collar_subhypergraph, is_collar, regularity_report
@@ -205,7 +205,7 @@ def _cmd_collar(args) -> int:
         print("none")
         return 0
     vec = tuple(witness.signed_entry(i) for i in range(h.m))
-    if any(matrix_vector(incidence_matrix(h), vec)):
+    if any(incidence_product(h, vec)):
         raise AssertionError("collar witness failed exact kernel verification")
     data = {
         "edges": list(witness.edge_indices),

@@ -1,15 +1,64 @@
 """Seeded random generation of simple connected hypergraphs.
 
-Rejection sampling: draw m edges with cardinalities in 2..max_card, retry
-until the incidence structure is connected and then the edge set passes
-`is_valid` (distinct, non-nested). Deterministic for a fixed seed.
+Each draw is connected by construction. It draws m cardinalities in
+2..max_card and visits the vertices in a random order: the first edge takes
+only uncovered vertices, and every later edge takes at least one covered
+vertex plus enough uncovered ones that all n end up covered. An edge that
+would equal or nest in an earlier one is redrawn; it is found by counting,
+over the per-vertex lists of placed edges, the vertices the new edge shares
+with each of them, so no pair of edges is scanned. A draw whose sizes
+cannot cover n vertices, or whose edge finds no simple placement in
+`EDGE_TRIES` redraws, costs one attempt; a finished draw is accepted by
+`is_valid`, the one definition of "simple". Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 
-from .core import Hypergraph, is_connected, is_valid
+from .core import Hypergraph, is_valid
+
+# redraws of one edge before its draw is abandoned; bounds the time spent
+# on sizes that admit no simple hypergraph
+EDGE_TRIES = 10
+
+
+def _connected_edges(
+    rng: random.Random, n: int, sizes: list[int]
+) -> list[list[int]] | None:
+    """Edges of the given sizes covering all n vertices, each after the first
+    meeting the covered ones and none equal to or nested in an earlier one;
+    None when the sizes cannot cover n or an edge exhausts its redraws."""
+    room = sum(s - 1 for s in sizes)  # vertices the edges can still add
+    if room < n - 1:
+        return None
+    uncovered = rng.sample(range(n), n)
+    covered: list[int] = []
+    through: list[list[int]] = [[] for _ in range(n)]
+    edges: list[list[int]] = []
+    for s in sizes:
+        room -= s - 1
+        # enough fresh vertices that the later edges can cover the rest,
+        # and at least one covered vertex once there is one
+        lo = max(len(uncovered) - room, s - len(covered), 0)
+        hi = min(s - 1 if covered else s, len(uncovered))
+        for _ in range(EDGE_TRIES):
+            fresh = rng.randint(lo, hi)
+            e = uncovered[:fresh] + rng.sample(covered, s - fresh)
+            shared = Counter(chain.from_iterable(map(through.__getitem__, e)))
+            # sharing min(|e|, |f|) vertices means e equals or nests with f
+            if all(c < s and c < len(edges[j]) for j, c in shared.items()):
+                break
+        else:
+            return None
+        for v in e:
+            through[v].append(len(edges))
+        edges.append(e)
+        covered += uncovered[:fresh]
+        del uncovered[:fresh]
+    return edges
 
 
 def generate_hypergraph(
@@ -25,16 +74,20 @@ def generate_hypergraph(
         raise ValueError("need at least 1 edge")
     if max_card < 2:
         raise ValueError("max cardinality must be >= 2")
-    rng = random.Random(seed)
     top = min(max_card, n)
+    if m * (top - 1) < n - 1:
+        raise ValueError(
+            f"no connected hypergraph with n={n}, m={m}, max_card={max_card}: "
+            f"m * (min(max_card, n) - 1) = {m * (top - 1)} < n - 1 = {n - 1}"
+        )
+    rng = random.Random(seed)
     labels = [str(i + 1) for i in range(n)]
     for _ in range(max_attempts):
-        h = Hypergraph(
-            labels, [rng.sample(range(n), rng.randint(2, top)) for _ in range(m)]
-        )
-        # connectivity rejects most draws, and cheaply; validate builds
-        # every violation with its message, so it runs only on survivors
-        if is_connected(h) and is_valid(h):
+        edges = _connected_edges(rng, n, [rng.randint(2, top) for _ in range(m)])
+        if edges is None:
+            continue
+        h = Hypergraph(labels, edges)
+        if is_valid(h):
             return h
     raise ValueError(
         f"could not generate a simple connected hypergraph with "

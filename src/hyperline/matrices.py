@@ -268,3 +268,11 @@ def matrix_vector(matrix: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     if matrix.cols != len(vec):
         raise ValueError("dimension mismatch")
     return tuple(sum(map(mul, matrix.row(i), vec)) for i in range(matrix.rows))
+
+
+def incidence_product(h: Hypergraph, vec: Sequence[int]) -> tuple[int, ...]:
+    """`B x` from the incidence lists, without the dense `B`: each vertex
+    sums the entries of the edges through it."""
+    if h.m != len(vec):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(vec[i] for i in inc) for inc in h.incidence)

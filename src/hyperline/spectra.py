@@ -24,6 +24,7 @@ from .matrices import (
     exact_kernel,
     exact_rank,
     incidence_matrix,
+    incidence_product,
     matrix_vector,
     signless_laplacian,
 )
@@ -192,7 +193,7 @@ def collar_certificate_vector(
     if k is None:
         raise ValueError("host hypergraph is not uniform")
     vec = tuple(witness.signed_entry(i) for i in range(h.m))
-    if any(matrix_vector(incidence_matrix(h), vec)):
+    if any(incidence_product(h, vec)):
         raise AssertionError("collar certificate failed exact verification")
     return CertificateMinusR(vec, k)
 

@@ -1,6 +1,9 @@
 import hashlib
+import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
@@ -34,6 +37,70 @@ def test_infeasible_raises():
         generate_hypergraph(3, 7, 3, seed=0, max_attempts=200)
 
 
+def test_sizes_that_cannot_connect_are_refused_at_once():
+    # connected, 10 edges of at most 4 vertices cover at most 1 + 10 * 3 < 60
+    with pytest.raises(ValueError, match=r"m \* \(min\(max_card, n\) - 1\) = 30 < n - 1 = 59"):
+        generate_hypergraph(60, 10, 4, seed=0, max_attempts=1)
+    with pytest.raises(ValueError, match=r"= 3 < n - 1 = 4"):
+        generate_hypergraph(5, 1, 4, seed=0)
+    # at the bound itself a connected hypergraph exists: two triples sharing a vertex
+    h = generate_hypergraph(5, 2, 3, seed=0)
+    assert sorted(map(len, h.edges)) == [3, 3] and is_connected(h)
+
+
+# sizes at which the rejection sampler gave up after 5000 attempts
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(80, 60, 1), (60, 45, 2), (60, 44, 8), (60, 40, 8)]
+    + [(60, 42, s) for s in (1, 2, 4, 5, 6)],
+)
+def test_sizes_the_rejection_sampler_missed(n, m, seed):
+    h = generate_hypergraph(n, m, 4, seed)
+    assert h.m == m and is_valid(h) and is_connected(h)
+
+
+@st.composite
+def feasible_sizes(draw, max_card=st.integers(2, 6)):
+    """(n, m, max_card, seed) with 2(n - 1) / min(max_card, n) <= m <= n:
+    sizes drawn uniformly in 2..max_card then cover n vertices on about
+    half the draws or more, and n edges fit simply on n >= 3 vertices."""
+    n = draw(st.integers(2, 300))
+    card = draw(max_card)
+    lo = math.ceil(2 * (n - 1) / min(card, n))
+    m = draw(st.integers(lo, n if n >= 3 else 1))
+    return n, m, card, draw(st.integers(0, 2**32))
+
+
+def incidence_graph(h: Hypergraph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(("v", v) for v in range(h.n))
+    g.add_edges_from((("v", v), ("e", i)) for i, e in enumerate(h.edges) for v in e)
+    return g
+
+
+@settings(deadline=None, max_examples=60)
+@given(feasible_sizes())
+def test_outputs_are_simple_connected_and_seeded(sizes):
+    n, m, max_card, seed = sizes
+    h = generate_hypergraph(n, m, max_card, seed)
+    assert h.n == n and h.m == m
+    assert all(2 <= len(e) <= max_card for e in h.edges)
+    assert validate(h) == []
+    assert nx.is_connected(incidence_graph(h))
+    assert generate_hypergraph(n, m, max_card, seed) == h
+
+
+@settings(deadline=None, max_examples=30)
+@given(feasible_sizes(max_card=st.just(2)))
+def test_graph_outputs_have_the_line_graph_as_line(sizes):
+    h = generate_hypergraph(*sizes)
+    line = nx.line_graph(nx.Graph(h.edges))
+    index = {frozenset(e): i for i, e in enumerate(h.edges)}
+    expected = {tuple(sorted((index[frozenset(a)], index[frozenset(b)]))) for a, b in line.edges}
+    assert {(i, j) for i, j, _ in h.line.pairs()} == expected
+    assert all(c == 1 for _, _, c in h.line.pairs())
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         generate_hypergraph(1, 1, 3, seed=0)
@@ -65,12 +132,12 @@ def _digest(hypergraphs) -> str:
 # draws or accepts must change these digests on purpose.
 def test_corpus_output_is_pinned(corpus):
     assert _digest(corpus) == (
-        "d0574bfec465b39fc1638c1c46cd878ca609b149716663eab731953a482d6a9c"
+        "1687a6eb9ce5144dbea97410126098fa6871641be94b179d27217a494f11664c"
     )
 
 
 def test_benchmark_sized_output_is_pinned():
     outputs = [generate_hypergraph(40, 30, 4, 1), generate_hypergraph(60, 44, 4, 2)]
     assert _digest(outputs) == (
-        "561afefca958ee46d4cc9f5d0f3f95d691b5b1dacec601f2d139c3e945af2a7f"
+        "1373f6c854803bfe2cc1e14b6430e75ac1b13b332aa282070c8db74e23ed9dbb"
     )

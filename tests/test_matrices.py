@@ -11,6 +11,7 @@ from hyperline import (
     exact_rank,
     gram_identity_check,
     incidence_matrix,
+    incidence_product,
     line_multigraph,
     certificate_minus_r,
     collar_certificate_vector,
@@ -172,6 +173,17 @@ def test_matrix_text_format(trio):
 def test_matrix_vector_dimension_mismatch():
     with pytest.raises(ValueError):
         matrix_vector(IntMatrix.identity(2), (1, 2, 3))
+
+
+@settings(deadline=None)
+@given(strategies.hypergraphs(), st.data())
+def test_incidence_product_matches_dense_product(h, data):
+    vec = tuple(
+        data.draw(st.lists(st.integers(-50, 50), min_size=h.m, max_size=h.m))
+    )
+    assert incidence_product(h, vec) == matrix_vector(incidence_matrix(h), vec)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        incidence_product(h, vec + (0,))
 
 
 def test_exact_vectors_are_integer_tuples(collar3):
