@@ -12,7 +12,6 @@ from hyperline import (
     from_multigraph,
     line_degree_formula,
     line_edge_count,
-    line_multigraph,
     parse_path,
     rank_corank,
     reduce_core,
@@ -33,25 +32,26 @@ print("rank/corank:", rank_corank(h))
 print("zagreb index:", zagreb_index(h))
 
 # One line-multigraph vertex per hyperedge; multiplicity = intersection size.
-lm = line_multigraph(h)
+g = h.line
+names = h.edge_label_sets()
 print("\nline multigraph multiplicities:")
-for i, j, mult in lm.graph.pairs():
-    print(f"  {lm.edge_labels[i]} ~ {lm.edge_labels[j]}: {mult}")
+for i, j, mult in g.pairs():
+    print(f"  {names[i]} ~ {names[j]}: {mult}")
 
 # Line degrees come straight from hypergraph degrees:
 # deg(e) = sum of d(v) over v in e, minus |e|.
 for i in range(h.m):
-    assert lm.graph.degree(i) == line_degree_formula(h, i)
-print("line degrees:", [lm.graph.degree(i) for i in range(h.m)])
+    assert g.degree(i) == line_degree_formula(h, i)
+print("line degrees:", [g.degree(i) for i in range(h.m)])
 
 # ... and the total multiplicity from the degree sequence alone.
-print("line edge count:", line_edge_count(h), "=", lm.graph.total_multiplicity())
+print("line edge count:", line_edge_count(h), "=", g.total_multiplicity())
 
 # Vertex 2 lies in a single 3-edge, so removing it cannot change any
 # intersection: the reduced core has the same line multigraph.
 core = reduce_core(h)
 print("\nreduced core edges:", core.edge_label_sets())
-assert line_multigraph(core).graph == lm.graph
+assert core.line == g
 
 # The opposite move pads short edges with fresh degree-one vertices.
 from hyperline import Hypergraph
@@ -59,11 +59,11 @@ from hyperline import Hypergraph
 mixed = Hypergraph(["a", "b", "c", "d"], [[0, 1], [1, 2, 3]])
 padded = uniformize(mixed)
 print("uniformized edges:", padded.edge_label_sets())
-assert line_multigraph(padded).graph == line_multigraph(mixed).graph
+assert padded.line == mixed.line
 
 # Every multigraph is some hypergraph's line multigraph: vertices of the
 # hypergraph are the multigraph's edge instances.
-recovered = from_multigraph(lm.graph)
+recovered = from_multigraph(g)
 print("\ninverse construction edges:", recovered.edge_label_sets())
-assert line_multigraph(recovered).graph == lm.graph
+assert recovered.line == g
 print("round trip through from_multigraph: ok")

@@ -13,7 +13,6 @@ from hyperline import (
     exact_rank,
     gram_identity_check,
     incidence_matrix,
-    line_multigraph,
     matrix_vector,
     parse_path,
 )
@@ -32,7 +31,7 @@ print("B^T B:")
 print(gram.to_text())
 print("cardinality diagonal:", [cardinality_matrix(h).at(i, i) for i in range(h.m)])
 print("line adjacency:")
-print(adjacency_matrix(line_multigraph(h).graph).to_text())
+print(adjacency_matrix(h.line).to_text())
 assert gram_identity_check(h)
 print("gram identity: exact")
 

@@ -16,14 +16,13 @@ from hyperline import (
     collar_certificate_vector,
     eigenvalues_symmetric,
     is_collar,
-    line_multigraph,
     parse_path,
 )
 
 DATA = Path(__file__).parent / "data"
 
 h = parse_path(DATA / "trio.hg")
-a_line = adjacency_matrix(line_multigraph(h).graph)
+a_line = adjacency_matrix(h.line)
 
 poly = char_poly_exact(a_line)
 print("line adjacency char poly coefficients (monic, descending):", poly.coefficients)
@@ -50,6 +49,6 @@ print("\n3-uniform collar recognized:", witness is not None)
 cert = collar_certificate_vector(collar, witness)
 print("collar certificate (+1 on one class, -1 on the other):")
 print(" ", list(cert.vector))
-spec = eigenvalues_symmetric(adjacency_matrix(line_multigraph(collar).graph))
+spec = eigenvalues_symmetric(adjacency_matrix(collar.line))
 print("line spectrum contains -3:", spec.contains(-3.0, 1e-9))
 print("smallest line eigenvalue:", round(spec.smallest, 9))

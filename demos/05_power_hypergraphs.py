@@ -12,7 +12,6 @@ from pathlib import Path
 from hyperline import (
     PowerParams,
     eigenvalues_symmetric,
-    line_multigraph,
     parse_path,
     power_hypergraph,
     power_line_invariance_check,
@@ -35,7 +34,7 @@ print("vertices:", powered.n, "(= t*n + m*(k - r*t) = 8 + 3)")
 
 # the line multigraph is exactly the base's, doubled
 assert power_line_invariance_check(p4, params)
-assert line_multigraph(powered).graph == scale_multigraph(line_multigraph(p4).graph, 2)
+assert powered.line == scale_multigraph(p4.line, 2)
 print("line multigraph of the power = 2 * line multigraph of the base")
 
 base_q = eigenvalues_symmetric(signless_laplacian(p4))

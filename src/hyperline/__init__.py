@@ -20,11 +20,9 @@ from .core import (
     zagreb_index,
 )
 from .line import (
-    LineMultigraph,
     from_multigraph,
     line_degree_formula,
     line_edge_count,
-    line_multigraph,
     reduce_core,
     scale_multigraph,
     uniformize,

@@ -176,9 +176,8 @@ def run_all_checks(
             )
         )
     else:
-        entries.append(
-            CheckEntry("collar-line-bipartite", collar_implies_bipartite_check(h))
-        )
+        bipartite = collar_implies_bipartite_check(h, witness)
+        entries.append(CheckEntry("collar-line-bipartite", bipartite))
         if uniform is None:
             entries.append(
                 CheckEntry(

@@ -21,11 +21,15 @@ from .core import (
 )
 from .generate import generate_hypergraph
 from .io import emit, parse_path
-from .line import line_multigraph
-from .matrices import adjacency_matrix, incidence_product, signless_laplacian
+from .matrices import adjacency_matrix, signless_laplacian
 from .power import PowerParams, power_hypergraph
 from .spectra import DEFAULT_TOLERANCE, eigenvalues_symmetric, power_spectrum_formula
-from .structure import find_collar_subhypergraph, is_collar, regularity_report
+from .structure import (
+    check_collar_witness,
+    find_collar_subhypergraph,
+    is_collar,
+    regularity_report,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,22 +131,21 @@ def _cmd_info(args) -> int:
 
 def _cmd_line(args) -> int:
     h = parse_path(args.file)
-    lm = line_multigraph(h)
+    g = h.line
     if args.format == "edgelist":
-        for i, j, mult in lm.graph.pairs():
+        for i, j, mult in g.pairs():
             print(f"{i} {j} {mult}")
     elif args.format == "matrix":
-        sys.stdout.write(adjacency_matrix(lm.graph).to_text())
+        sys.stdout.write(adjacency_matrix(g).to_text())
     else:
         data = {
-            "order": lm.graph.order,
+            "order": g.order,
             "vertices": [
                 {"index": i, "edge": list(labels)}
-                for i, labels in enumerate(lm.edge_labels or ())
+                for i, labels in enumerate(h.edge_label_sets())
             ],
             "edges": [
-                {"u": i, "v": j, "multiplicity": mult}
-                for i, j, mult in lm.graph.pairs()
+                {"u": i, "v": j, "multiplicity": mult} for i, j, mult in g.pairs()
             ],
         }
         print(json.dumps(data, indent=2))
@@ -152,7 +155,7 @@ def _cmd_line(args) -> int:
 def _cmd_spectrum(args) -> int:
     h = parse_path(args.file)
     if args.matrix == "line-adjacency":
-        mat = adjacency_matrix(line_multigraph(h).graph)
+        mat = adjacency_matrix(h.line)
     else:
         mat = signless_laplacian(h)
     spec = eigenvalues_symmetric(mat, args.tol)
@@ -204,9 +207,7 @@ def _cmd_collar(args) -> int:
     if witness is None:
         print("none")
         return 0
-    vec = tuple(witness.signed_entry(i) for i in range(h.m))
-    if any(incidence_product(h, vec)):
-        raise AssertionError("collar witness failed exact kernel verification")
+    vec = check_collar_witness(h, witness)
     data = {
         "edges": list(witness.edge_indices),
         "coloring": {str(i): c for i, c in sorted(witness.coloring.items())},

@@ -86,6 +86,8 @@ class Hypergraph:
     def line(self) -> Multigraph:
         """The line multigraph: each vertex adds 1 to every pair of its
         edges, so edges i, j are joined |e_i ∩ e_j| times; O(Σ d(v)²)."""
+        if self.m == 0:
+            raise ValueError("no hyperedges")
         pairs = Counter(p for inc in self.incidence for p in combinations(inc, 2))
         return Multigraph(self.m, pairs)
 

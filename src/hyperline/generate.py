@@ -1,15 +1,16 @@
 """Seeded random generation of simple connected hypergraphs.
 
 Each draw is connected by construction. It draws m cardinalities in
-2..max_card and visits the vertices in a random order: the first edge takes
+2..max_card, each at least as large as the later ones need to cover n
+vertices, and visits the vertices in a random order: the first edge takes
 only uncovered vertices, and every later edge takes at least one covered
 vertex plus enough uncovered ones that all n end up covered. An edge that
 would equal or nest in an earlier one is redrawn; it is found by counting,
 over the per-vertex lists of placed edges, the vertices the new edge shares
-with each of them, so no pair of edges is scanned. A draw whose sizes
-cannot cover n vertices, or whose edge finds no simple placement in
-`EDGE_TRIES` redraws, costs one attempt; a finished draw is accepted by
-`is_valid`, the one definition of "simple". Deterministic for a fixed seed.
+with each of them, so no pair of edges is scanned. A draw whose edge finds
+no simple placement in `EDGE_TRIES` redraws costs one attempt; a finished
+draw is accepted by `is_valid`, the one definition of "simple".
+Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,15 +26,27 @@ from .core import Hypergraph, is_valid
 EDGE_TRIES = 10
 
 
+def _sizes(rng: random.Random, n: int, m: int, top: int) -> list[int]:
+    """m sizes in 2..top whose edges can cover n vertices: each is drawn large
+    enough that the later ones, at `top`, still can."""
+    # n - 1, less what the sizes so far add beyond a first vertex and the
+    # most the later sizes can add
+    need = n - 1 - (m - 1) * (top - 1)
+    sizes = []
+    for _ in range(m):
+        s = rng.randint(max(2, need + 1), top)
+        need += top - s
+        sizes.append(s)
+    return sizes
+
+
 def _connected_edges(
     rng: random.Random, n: int, sizes: list[int]
 ) -> list[list[int]] | None:
     """Edges of the given sizes covering all n vertices, each after the first
     meeting the covered ones and none equal to or nested in an earlier one;
-    None when the sizes cannot cover n or an edge exhausts its redraws."""
+    None when an edge exhausts its redraws."""
     room = sum(s - 1 for s in sizes)  # vertices the edges can still add
-    if room < n - 1:
-        return None
     uncovered = rng.sample(range(n), n)
     covered: list[int] = []
     through: list[list[int]] = [[] for _ in range(n)]
@@ -83,7 +96,7 @@ def generate_hypergraph(
     rng = random.Random(seed)
     labels = [str(i + 1) for i in range(n)]
     for _ in range(max_attempts):
-        edges = _connected_edges(rng, n, [rng.randint(2, top) for _ in range(m)])
+        edges = _connected_edges(rng, n, _sizes(rng, n, m, top))
         if edges is None:
             continue
         h = Hypergraph(labels, edges)

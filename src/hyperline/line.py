@@ -10,24 +10,7 @@ line-preserving and makes every multigraph realizable as a line multigraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Hypergraph, Multigraph, degree_profile, rank_corank, zagreb_index
-
-
-@dataclass(frozen=True)
-class LineMultigraph:
-    """Line multigraph plus, per multigraph vertex, the source edge's labels."""
-
-    graph: Multigraph
-    edge_labels: tuple[tuple[str, ...], ...] | None = None
-
-
-def line_multigraph(h: Hypergraph) -> LineMultigraph:
-    """The line multigraph `h.line`, labelled with the source edges."""
-    if h.m == 0:
-        raise ValueError("no hyperedges")
-    return LineMultigraph(h.line, h.edge_label_sets())
 
 
 def line_degree_formula(h: Hypergraph, i: int) -> int:

@@ -265,6 +265,7 @@ def exact_kernel(
 
 
 def matrix_vector(matrix: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
+    """Dense `A x`; the reference route `incidence_product` is checked against."""
     if matrix.cols != len(vec):
         raise ValueError("dimension mismatch")
     return tuple(sum(map(mul, matrix.row(i), vec)) for i in range(matrix.rows))

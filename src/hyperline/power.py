@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, rank_corank
-from .line import line_multigraph, scale_multigraph
+from .line import scale_multigraph
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,4 @@ def power_line_invariance_check(base: Hypergraph, params: PowerParams) -> bool:
 
     Holds by construction; a False return signals an implementation bug.
     """
-    powered = line_multigraph(power_hypergraph(base, params)).graph
-    scaled = scale_multigraph(line_multigraph(base).graph, params.t)
-    return powered == scaled
+    return power_hypergraph(base, params).line == scale_multigraph(base.line, params.t)

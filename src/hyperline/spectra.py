@@ -25,7 +25,6 @@ from .matrices import (
     exact_rank,
     incidence_matrix,
     incidence_product,
-    matrix_vector,
     signless_laplacian,
 )
 from .power import PowerParams
@@ -119,9 +118,10 @@ def eigenvalues_symmetric(
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie in (0, 1)")
+    # on the integers: a float comparison would pass unequal entries above 2**53
     if not matrix.is_symmetric():
         raise ValueError("matrix not symmetric")
-    arr = np.array(matrix.to_rows(), dtype=float).reshape(matrix.rows, matrix.cols)
+    arr = np.array(matrix.entries, dtype=float).reshape(matrix.rows, matrix.cols)
     vals = np.linalg.eigvalsh(arr)
     return Spectrum(tuple(float(v) for v in vals[::-1]), tolerance)
 
@@ -173,7 +173,7 @@ def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
     if not basis:
         return None
     vec = basis[0]
-    if any(matrix_vector(b, vec)) or any(vec[i] for i in small):
+    if any(incidence_product(h, vec)) or any(vec[i] for i in small):
         raise AssertionError("-r certificate failed exact verification")
     return CertificateMinusR(vec, r)
 
@@ -183,18 +183,14 @@ def collar_certificate_vector(
 ) -> CertificateMinusR:
     """Signed collar indicator as an exact -k eigenvalue certificate.
 
-    The witness is validated first; each collar vertex then sees one +1 and
-    one -1 edge, so the incidence product vanishes identically. Requires a
-    k-uniform host so that the collar edges are rank-sized and the kernel
-    element certifies the eigenvalue -k.
+    `check_collar_witness` returns the indicator only once `B x = 0` holds
+    exactly. Requires a k-uniform host so that the collar edges are
+    rank-sized and the kernel element certifies the eigenvalue -k.
     """
-    check_collar_witness(h, witness.edge_indices, witness.coloring)
+    vec = check_collar_witness(h, witness)
     k = is_uniform(h)
     if k is None:
         raise ValueError("host hypergraph is not uniform")
-    vec = tuple(witness.signed_entry(i) for i in range(h.m))
-    if any(incidence_product(h, vec)):
-        raise AssertionError("collar certificate failed exact verification")
     return CertificateMinusR(vec, k)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .core import Hypergraph, degree_profile, is_uniform
-from .matrices import exact_kernel, incidence_matrix
+from .matrices import exact_kernel, incidence_matrix, incidence_product
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,20 @@ def is_collar(h: Hypergraph) -> CollarWitness | None:
     return CollarWitness(tuple(chosen), coloring, connected)
 
 
-def check_collar_witness(
-    h: Hypergraph, edge_indices: tuple[int, ...], coloring: Mapping[int, int]
-) -> None:
-    """Raise unless the edge subset plus coloring really is a collar.
+def check_collar_witness(h: Hypergraph, witness: CollarWitness) -> tuple[int, ...]:
+    """The witness's signed indicator, once it is verified to be a collar.
 
-    Every covered vertex must lie in exactly two chosen edges, and chosen
-    edges that intersect must carry different colors.
+    Every covered vertex must lie in exactly two chosen edges. Each then
+    sees the signs of its two edges, so the coloring is proper exactly when
+    the signed indicator `x` has `B x = 0`, which one incidence product
+    checks; `ValueError` names the first vertex where it fails.
     """
-    chosen = sorted(set(edge_indices))
+    chosen = sorted(set(witness.edge_indices))
     if not chosen:
         raise ValueError("empty collar")
     if chosen[0] < 0 or chosen[-1] >= h.m:
         raise IndexError("collar edge index out of range")
+    coloring = witness.coloring
     if set(coloring) != set(chosen) or not all(c in (1, 2) for c in coloring.values()):
         raise ValueError("coloring invalid: must map exactly the collar edges to {1, 2}")
     count: dict[int, int] = {}
@@ -145,19 +146,21 @@ def check_collar_witness(
             count[v] = count.get(v, 0) + 1
     if any(c != 2 for c in count.values()):
         raise ValueError("not 2-regular on collar vertices")
-    adj = _line_adjacency_sets(h, chosen)
-    for i in chosen:
-        for j in adj[i]:
-            if j > i and coloring[i] == coloring[j]:
-                raise ValueError(f"coloring invalid: adjacent edges {i}, {j} share a color")
+    vec = tuple(witness.signed_entry(i) for i in range(h.m))
+    bad = next((v for v, x in enumerate(incidence_product(h, vec)) if x), None)
+    if bad is not None:
+        raise ValueError(
+            f"coloring invalid: the collar edges through vertex {h.labels[bad]!r} "
+            f"(index {bad}) share a color"
+        )
+    return vec
 
 
-def collar_implies_bipartite_check(h: Hypergraph) -> bool:
-    """For a collar, assert the line multigraph is bipartite (and, for a
-    k-uniform collar, k-regular)."""
-    witness = is_collar(h)
-    if witness is None:
-        raise ValueError("not a collar")
+def collar_implies_bipartite_check(h: Hypergraph, witness: CollarWitness) -> bool:
+    """For a collar and its witness `is_collar(h)`, assert the line
+    multigraph is bipartite (and, for a k-uniform collar, k-regular)."""
+    if witness.edge_indices != tuple(range(h.m)):
+        raise ValueError("witness does not cover every edge")
     g = h.line
     for i, j, _ in g.pairs():
         if witness.coloring[i] == witness.coloring[j]:

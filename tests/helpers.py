@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from hyperline import Hypergraph, Multigraph, line_multigraph
+from hyperline import Hypergraph, Multigraph
 
 TRIO_TEXT = "1 2 3\n1 4 5\n3 4 5\n"
 
@@ -179,7 +179,7 @@ def uniform_edge_regular_family() -> list[Hypergraph]:
 
 def line_is_regular(h: Hypergraph) -> bool:
     """Whether every vertex of the line multigraph has the same degree."""
-    g = line_multigraph(h).graph
+    g = h.line
     return len({g.degree(v) for v in range(g.order)}) <= 1
 
 

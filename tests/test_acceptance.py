@@ -28,7 +28,6 @@ from hyperline import (
     is_uniform,
     line_degree_formula,
     line_edge_count,
-    line_multigraph,
     matrix_vector,
     parse_text,
     power_hypergraph,
@@ -68,7 +67,7 @@ def bundles(corpus):
     out = []
     for h in corpus:
         b = incidence_matrix(h)
-        a_line = adjacency_matrix(line_multigraph(h).graph)
+        a_line = adjacency_matrix(h.line)
         q = signless_laplacian(h)
         r, s = rank_corank(h)
         out.append(
@@ -90,7 +89,7 @@ def test_criterion_01_worked_example_reproduction():
     failures = []
     start = time.perf_counter()
     h = parse_text("1 2 3\n1 4 5\n3 4 5\n")
-    lm = line_multigraph(h).graph
+    lm = h.line
     if dict(lm.multiplicities) != {(0, 1): 1, (0, 2): 1, (1, 2): 2}:
         failures.append(f"multiplicities {dict(lm.multiplicities)}")
     if [lm.degree(i) for i in range(3)] != [2, 3, 3]:
@@ -162,9 +161,9 @@ def test_criterion_05_collar_certificates(collar3):
         if witness is None:
             failures.append(f"{name}: not recognized as collar")
             continue
-        if not collar_implies_bipartite_check(h):
+        if not collar_implies_bipartite_check(h, witness):
             failures.append(f"{name}: line multigraph not bipartite/k-regular")
-        g = line_multigraph(h).graph
+        g = h.line
         if any(g.degree(i) != k for i in range(g.order)):
             failures.append(f"{name}: line multigraph not {k}-regular")
         cert = collar_certificate_vector(h, witness)
@@ -281,16 +280,16 @@ def test_criterion_09_line_invariance(bundles):
     failures = []
     for name, base, r, t, k in power_cases():
         powered = power_hypergraph(base, PowerParams(t, k))
-        lhs = line_multigraph(powered).graph
-        rhs = scale_multigraph(line_multigraph(base).graph, t)
+        lhs = powered.line
+        rhs = scale_multigraph(base.line, t)
         if lhs != rhs:
             failures.append(f"{name} t={t} k={k}: line not scaled by t")
     for item in bundles:
         h = item["h"]
-        base_line = line_multigraph(h).graph
-        if line_multigraph(reduce_core(h)).graph != base_line:
+        base_line = h.line
+        if reduce_core(h).line != base_line:
             failures.append(f"reduce_core changes line multigraph on {h}")
-        if line_multigraph(uniformize(h)).graph != base_line:
+        if uniformize(h).line != base_line:
             failures.append(f"uniformize changes line multigraph on {h}")
     finish(9, "line multigraph invariance", failures)
 

@@ -3,7 +3,9 @@ from functools import cached_property
 
 import pytest
 
+import hyperline.checks
 import hyperline.spectra
+import hyperline.structure
 from hyperline import Analysis, Hypergraph, Multigraph, run_all_checks
 
 import helpers
@@ -120,6 +122,24 @@ def test_checks_build_each_derived_object_once(monkeypatch):
         "regularity_report": 1,
         "line": 2,
     }
+
+
+def test_checks_recognize_a_collar_once(monkeypatch, collar3):
+    calls = []
+    original = hyperline.structure.is_collar
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    # every module that could call it, so a second caller is counted too
+    monkeypatch.setattr(hyperline.structure, "is_collar", counted)
+    monkeypatch.setattr(hyperline.checks, "is_collar", counted)
+    h, _ = collar3
+    entries = entry_map(run_all_checks(h))
+    assert entries["collar-line-bipartite"].passed
+    assert entries["collar-minus-k-eigenvalue"].passed
+    assert len(calls) == 1
 
 
 def raise_first_multiplicity(h):

@@ -14,7 +14,6 @@ from hyperline import (
     Violation,
     validate,
     zagreb_index,
-    line_multigraph,
     power_hypergraph,
     PowerParams,
 )
@@ -187,7 +186,7 @@ def test_zagreb(trio):
 
 
 def test_multigraph_degree_line_of_trio(trio):
-    g = line_multigraph(trio).graph
+    g = trio.line
     assert g.degree(1) == 3
     assert g.degree(0) == 2
 

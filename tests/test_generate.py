@@ -48,25 +48,35 @@ def test_sizes_that_cannot_connect_are_refused_at_once():
     assert sorted(map(len, h.edges)) == [3, 3] and is_connected(h)
 
 
-# sizes at which the rejection sampler gave up after 5000 attempts
-@pytest.mark.parametrize(
-    "n, m, seed",
-    [(80, 60, 1), (60, 45, 2), (60, 44, 8), (60, 40, 8)]
-    + [(60, 42, s) for s in (1, 2, 4, 5, 6)],
+# sizes at which the rejection sampler, or sizes drawn without regard to
+# covering n, gave up after 5000 attempts
+MISSED = (
+    [(80, 60, 4, 1), (60, 45, 4, 2), (60, 44, 4, 8), (60, 40, 4, 8)]
+    + [(60, 42, 4, s) for s in (1, 2, 4, 5, 6)]
+    + [(300, 150, 3, 1), (60, 30, 3, 1), (100, 40, 4, 1)]
 )
-def test_sizes_the_rejection_sampler_missed(n, m, seed):
-    h = generate_hypergraph(n, m, 4, seed)
+
+
+# ids "n-m-seed", with max_card before the seed where it is not the CLI's 4
+@pytest.mark.parametrize(
+    "n, m, max_card, seed",
+    MISSED,
+    ids=[f"{n}-{m}-{s}" if c == 4 else f"{n}-{m}-{c}-{s}" for n, m, c, s in MISSED],
+)
+def test_sizes_the_rejection_sampler_missed(n, m, max_card, seed):
+    h = generate_hypergraph(n, m, max_card, seed)
     assert h.m == m and is_valid(h) and is_connected(h)
+    assert all(2 <= len(e) <= max_card for e in h.edges)
 
 
 @st.composite
 def feasible_sizes(draw, max_card=st.integers(2, 6)):
-    """(n, m, max_card, seed) with 2(n - 1) / min(max_card, n) <= m <= n:
-    sizes drawn uniformly in 2..max_card then cover n vertices on about
-    half the draws or more, and n edges fit simply on n >= 3 vertices."""
+    """(n, m, max_card, seed) with (n - 1) / (min(max_card, n) - 1) <= m <= n:
+    from the refusal bound, below which no connected hypergraph exists, up
+    to n edges, which fit simply on n >= 3 vertices."""
     n = draw(st.integers(2, 300))
     card = draw(max_card)
-    lo = math.ceil(2 * (n - 1) / min(card, n))
+    lo = math.ceil((n - 1) / (min(card, n) - 1))
     m = draw(st.integers(lo, n if n >= 3 else 1))
     return n, m, card, draw(st.integers(0, 2**32))
 
@@ -132,7 +142,7 @@ def _digest(hypergraphs) -> str:
 # draws or accepts must change these digests on purpose.
 def test_corpus_output_is_pinned(corpus):
     assert _digest(corpus) == (
-        "1687a6eb9ce5144dbea97410126098fa6871641be94b179d27217a494f11664c"
+        "c55a5338ed0c3b003b7b95e6527a052f74974037c676210ed4b34ecbb245ff6a"
     )
 
 

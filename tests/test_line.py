@@ -9,7 +9,6 @@ from hyperline import (
     is_connected,
     line_degree_formula,
     line_edge_count,
-    line_multigraph,
     multigraph_is_connected,
     rank_corank,
     reduce_core,
@@ -26,18 +25,17 @@ from oracles import line_oracle, linear_oracle, reduce_core_fixpoint
 
 
 def test_line_multigraph_trio(trio):
-    lm = line_multigraph(trio)
-    assert dict(lm.graph.multiplicities) == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
-    assert lm.edge_labels == (("1", "2", "3"), ("1", "4", "5"), ("3", "4", "5"))
+    assert dict(trio.line.multiplicities) == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
+    assert trio.edge_label_sets() == (("1", "2", "3"), ("1", "4", "5"), ("3", "4", "5"))
 
 
 def test_line_multigraph_disjoint_edges():
-    g = line_multigraph(Hypergraph.from_edges([[0, 1], [2, 3]])).graph
+    g = Hypergraph.from_edges([[0, 1], [2, 3]]).line
     assert g.order == 2 and g.total_multiplicity() == 0
 
 
 def test_line_multigraph_path():
-    g = line_multigraph(helpers.path(4)).graph
+    g = helpers.path(4).line
     assert dict(g.multiplicities) == {(0, 1): 1, (1, 2): 1}
 
 
@@ -56,11 +54,11 @@ def test_line_edge_count_examples(trio):
 
 
 def test_scale_multigraph(trio):
-    g = line_multigraph(trio).graph
+    g = trio.line
     doubled = scale_multigraph(g, 2)
     assert dict(doubled.multiplicities) == {(0, 1): 2, (0, 2): 2, (1, 2): 4}
     assert scale_multigraph(g, 1) == g
-    tripled = scale_multigraph(line_multigraph(helpers.path(4)).graph, 3)
+    tripled = scale_multigraph(helpers.path(4).line, 3)
     assert dict(tripled.multiplicities) == {(0, 1): 3, (1, 2): 3}
     with pytest.raises(ValueError):
         scale_multigraph(g, 0)
@@ -74,15 +72,15 @@ def test_reduce_core_strips_pendant_vertex(trio):
         ["1", "2", "3", "4", "5", "6"], [[0, 1, 2, 5], [0, 3, 4], [2, 3, 4]]
     )
     assert reduce_core(padded) == reduce_core(trio)
-    assert line_multigraph(reduce_core(padded)).graph == line_multigraph(padded).graph
-    assert line_multigraph(padded).graph == line_multigraph(trio).graph
+    assert reduce_core(padded).line == padded.line
+    assert padded.line == trio.line
 
 
 def test_reduce_core_trio_removes_degree_one_vertex(trio):
     reduced = reduce_core(trio)
     assert reduced.labels == ("1", "3", "4", "5")
     assert reduced.edges == ((0, 1), (0, 2, 3), (1, 2, 3))
-    assert line_multigraph(reduced).graph == line_multigraph(trio).graph
+    assert reduced.line == trio.line
 
 
 def test_reduce_core_noop_on_graphs():
@@ -104,29 +102,29 @@ def test_uniformize_identity_on_uniform(trio):
 def test_uniformize_then_reduce_preserves_line():
     h = helpers.from_label_edges([["1", "2"], ["2", "3", "4"]])
     roundtrip = reduce_core(uniformize(h))
-    assert line_multigraph(roundtrip).graph == line_multigraph(h).graph
+    assert roundtrip.line == h.line
 
 
 def test_from_multigraph_triangle_with_doubled_edge():
     g = helpers.triangle_with_doubled_edge()
     h = from_multigraph(g)
     assert sorted(len(e) for e in h.edges) == [2, 3, 3]
-    assert line_multigraph(h).graph == g
+    assert h.line == g
     assert rank_corank(h)[0] == 3
 
 
 def test_from_multigraph_c4_self_line():
-    g = line_multigraph(helpers.cycle(4)).graph
+    g = helpers.cycle(4).line
     h = from_multigraph(g)
-    assert line_multigraph(h).graph == g
+    assert h.line == g
 
 
 def test_from_multigraph_line_of_trio(trio):
-    g = line_multigraph(trio).graph
+    g = trio.line
     h = from_multigraph(g)
     assert h.n == 4 and h.m == 3
     assert sorted(len(e) for e in h.edges) == [2, 3, 3]
-    assert line_multigraph(h).graph == g
+    assert h.line == g
 
 
 def test_from_multigraph_rejects_low_degree():
@@ -139,7 +137,7 @@ def test_from_multigraph_rejects_low_degree():
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_line_degree_formula_matches_construction(h):
-    g = line_multigraph(h).graph
+    g = h.line
     for i in range(h.m):
         assert g.degree(i) == line_degree_formula(h, i)
 
@@ -147,19 +145,19 @@ def test_line_degree_formula_matches_construction(h):
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_line_edge_count_matches_construction(h):
-    assert line_edge_count(h) == line_multigraph(h).graph.total_multiplicity()
+    assert line_edge_count(h) == h.line.total_multiplicity()
 
 
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_reduce_and_uniformize_preserve_line(h):
-    base = line_multigraph(h).graph
-    assert line_multigraph(reduce_core(h)).graph == base
-    assert line_multigraph(uniformize(h)).graph == base
+    base = h.line
+    assert reduce_core(h).line == base
+    assert uniformize(h).line == base
 
 
 def assert_line_and_linearity_match_all_pairs(h):
-    assert line_multigraph(h).graph == Multigraph(h.m, line_oracle(h))
+    assert h.line == Multigraph(h.m, line_oracle(h))
     assert regularity_report(h).linear == linear_oracle(h)
 
 
@@ -191,7 +189,7 @@ def test_reduce_core_one_pass_matches_fixpoint(h):
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_linear_iff_line_simple(h):
-    simple = all(mult <= 1 for _, _, mult in line_multigraph(h).graph.pairs())
+    simple = all(mult <= 1 for _, _, mult in h.line.pairs())
     assert simple == regularity_report(h).linear
 
 
@@ -199,14 +197,14 @@ def test_linear_iff_line_simple(h):
 @given(strategies.hypergraphs())
 def test_connected_iff_line_connected(h):
     # strategy outputs carry no isolated vertices
-    assert is_connected(h) == multigraph_is_connected(line_multigraph(h).graph)
+    assert is_connected(h) == multigraph_is_connected(h.line)
 
 
 @settings(deadline=None)
 @given(strategies.multigraphs())
 def test_from_multigraph_reconstructs(g):
     assume(all(g.degree(v) >= 2 for v in range(g.order)))
-    assert line_multigraph(from_multigraph(g)).graph == g
+    assert from_multigraph(g).line == g
 
 
 def test_regular_uniform_line_degree_formula():
@@ -217,5 +215,5 @@ def test_regular_uniform_line_degree_formula():
         (helpers.complete_uniform(5, 4), 4, 4),
         (helpers.complete_graph(4), 2, 3),
     ]:
-        g = line_multigraph(h).graph
+        g = h.line
         assert all(g.degree(i) == k * (d - 1) for i in range(g.order))

@@ -12,7 +12,6 @@ from hyperline import (
     gram_identity_check,
     incidence_matrix,
     incidence_product,
-    line_multigraph,
     certificate_minus_r,
     collar_certificate_vector,
     is_collar,
@@ -56,7 +55,7 @@ def test_cardinality_matrix(trio):
 
 
 def test_adjacency_trio_line(trio):
-    g = line_multigraph(trio).graph
+    g = trio.line
     assert adjacency_matrix(g).to_rows() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
     assert adjacency_matrix(scale_multigraph(g, 2)).to_rows() == [
         [0, 2, 2],
@@ -66,7 +65,7 @@ def test_adjacency_trio_line(trio):
 
 
 def test_adjacency_edgeless():
-    g = line_multigraph(Hypergraph.from_edges([[0, 1], [2, 3]])).graph
+    g = Hypergraph.from_edges([[0, 1], [2, 3]]).line
     assert adjacency_matrix(g).to_rows() == [[0, 0], [0, 0]]
 
 
@@ -166,7 +165,7 @@ def test_q_and_gram_share_nonzero_spectrum(h):
 
 
 def test_matrix_text_format(trio):
-    text = adjacency_matrix(line_multigraph(trio).graph).to_text()
+    text = adjacency_matrix(trio.line).to_text()
     assert text == "3 3\n0 1 1\n1 0 2\n1 2 0\n"
 
 

@@ -15,7 +15,6 @@ from hyperline import (
     eigenvalues_symmetric,
     incidence_matrix,
     is_collar,
-    line_multigraph,
     matrix_vector,
     power_hypergraph,
     power_spectrum_formula,
@@ -33,7 +32,7 @@ SQRT3 = math.sqrt(3)
 
 
 def line_adjacency(h):
-    return adjacency_matrix(line_multigraph(h).graph)
+    return adjacency_matrix(h.line)
 
 
 def assert_close_multisets(actual, expected, tol=1e-8):

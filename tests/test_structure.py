@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperline import (
+    CollarWitness,
     Hypergraph,
     collar_implies_bipartite_check,
     check_collar_witness,
@@ -12,7 +13,6 @@ from hyperline import (
     find_collar_subhypergraph,
     incidence_matrix,
     is_collar,
-    line_multigraph,
     regularity_report,
 )
 
@@ -45,7 +45,7 @@ def test_skew_iff_examples(trio):
     for h in (helpers.cycle(4), trio):
         skew = regularity_report(h).skew_edge_regular is not None
         assert skew == helpers.line_is_regular(h)
-    g = line_multigraph(trio).graph
+    g = trio.line
     assert [g.degree(i) for i in range(3)] == [2, 3, 3]  # both sides false
 
 
@@ -61,7 +61,7 @@ def test_skew_family_both_sides_true(skew_family):
     for h in skew_family:
         rep = regularity_report(h)
         assert rep.skew_edge_regular is not None
-        g = line_multigraph(h).graph
+        g = h.line
         degrees = {g.degree(i) for i in range(g.order)}
         assert len(degrees) == 1
         assert degrees.pop() == rep.skew_edge_regular
@@ -90,23 +90,34 @@ def test_collar_iff_even_cycle_for_graphs():
 
 def test_collar_bipartite_check(collar3):
     h, _ = collar3
-    assert collar_implies_bipartite_check(h)
-    g = line_multigraph(h).graph
+    assert collar_implies_bipartite_check(h, is_collar(h))
+    g = h.line
     assert all(g.degree(i) == 3 for i in range(g.order))
-    assert collar_implies_bipartite_check(helpers.cycle(6))
-    assert collar_implies_bipartite_check(helpers.cycle(4))
-    with pytest.raises(ValueError, match="not a collar"):
-        collar_implies_bipartite_check(helpers.cycle(3))
+    for n in (4, 6):
+        c = helpers.cycle(n)
+        assert collar_implies_bipartite_check(c, is_collar(c))
+    # a collar found inside a larger host is not a witness for the host
+    host = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]])
+    with pytest.raises(ValueError, match="does not cover every edge"):
+        collar_implies_bipartite_check(host, find_collar_subhypergraph(host))
 
 
 def test_check_collar_witness_errors():
     h = helpers.cycle(4)
     with pytest.raises(ValueError, match="not 2-regular"):
-        check_collar_witness(h, (0, 1), {0: 1, 1: 2})
+        check_collar_witness(h, CollarWitness((0, 1), {0: 1, 1: 2}))
     with pytest.raises(ValueError, match="coloring invalid"):
-        check_collar_witness(h, (0, 1, 2, 3), {0: 1, 1: 1, 2: 2, 3: 2})
+        check_collar_witness(h, CollarWitness((0, 1, 2, 3), {0: 1, 1: 1, 2: 2, 3: 2}))
     with pytest.raises(ValueError, match="coloring invalid"):
-        check_collar_witness(h, (0, 1, 2, 3), {0: 1, 1: 2, 2: 1})
+        check_collar_witness(h, CollarWitness((0, 1, 2, 3), {0: 1, 1: 2, 2: 1}))
+    # 2-regular and alternately colored, so the odd cycle clashes at one vertex
+    c5 = Hypergraph(list("abcde"), [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+    alternate = CollarWitness(tuple(range(5)), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
+    with pytest.raises(ValueError, match=r"through vertex 'a' \(index 0\) share a color"):
+        check_collar_witness(c5, alternate)
+    shifted = CollarWitness(tuple(range(5)), {0: 2, 1: 1, 2: 2, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match=r"through vertex 'e' \(index 4\) share a color"):
+        check_collar_witness(c5, shifted)
 
 
 def test_find_collar_c4_plus_pendant():
@@ -148,7 +159,7 @@ def test_find_collar_matches_oracle(h):
     else:
         assert w is not None
         assert w.edge_indices == expected  # both are lexicographically first
-        check_collar_witness(h, w.edge_indices, w.coloring)
+        check_collar_witness(h, w)
 
 
 @settings(deadline=None, max_examples=150)
@@ -228,4 +239,4 @@ def test_is_collar_witness_sound(h):
     w = is_collar(h)
     if w is not None:
         assert all(d == 2 for d in degree_profile(h).degrees)
-        check_collar_witness(h, w.edge_indices, w.coloring)
+        assert check_collar_witness(h, w) == tuple(map(w.signed_entry, range(h.m)))
