@@ -1,19 +1,20 @@
-"""The exact matrix layer: incidence, cardinality, Gram identity, kernels.
+"""The exact matrix layer: incidence, Gram identity, kernels.
 
-Everything here is integer arithmetic; no tolerances involved.
+Every matrix is a numpy integer array; no tolerances involved.
 """
 
 from pathlib import Path
 
+import numpy as np
+
 from hyperline import (
     Hypergraph,
     adjacency_matrix,
-    cardinality_matrix,
     exact_kernel,
     exact_rank,
     gram_identity_check,
     incidence_matrix,
-    matrix_vector,
+    incidence_product,
     parse_path,
 )
 
@@ -22,16 +23,18 @@ DATA = Path(__file__).parent / "data"
 h = parse_path(DATA / "trio.hg")
 b = incidence_matrix(h)
 print("incidence matrix B (vertices x edges):")
-print(b.to_text())
+print(b)
 
 # B^T B splits into the diagonal of edge sizes plus the line adjacency:
 # diagonal entries count |e_i|, off-diagonal entries count |e_i & e_j|.
-gram = b.transpose() @ b
+gram = b.T @ b
 print("B^T B:")
-print(gram.to_text())
-print("cardinality diagonal:", [cardinality_matrix(h).at(i, i) for i in range(h.m)])
+print(gram)
+print("cardinality diagonal:", gram.diagonal().tolist())
 print("line adjacency:")
-print(adjacency_matrix(h.line).to_text())
+a_line = adjacency_matrix(h.line)
+print(a_line)
+assert np.array_equal(gram, np.diag([len(e) for e in h.edges]) + a_line)
 assert gram_identity_check(h)
 print("gram identity: exact")
 
@@ -41,7 +44,7 @@ c4 = parse_path(DATA / "c4.hg")
 basis = exact_kernel(incidence_matrix(c4))
 print("\nC4 incidence kernel basis:", [list(v) for v in basis])
 for vec in basis:
-    assert not any(matrix_vector(incidence_matrix(c4), vec))
+    assert not any(incidence_product(c4, vec))
 
 c3 = Hypergraph.from_edges([[0, 1], [1, 2], [2, 0]])
 print("C3 incidence kernel basis:", exact_kernel(incidence_matrix(c3)))

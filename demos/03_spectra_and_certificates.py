@@ -12,7 +12,6 @@ from hyperline import (
     Analysis,
     adjacency_matrix,
     certificate_minus_r,
-    char_poly_exact,
     collar_certificate_vector,
     eigenvalues_symmetric,
     is_collar,
@@ -24,8 +23,6 @@ DATA = Path(__file__).parent / "data"
 h = parse_path(DATA / "trio.hg")
 a_line = adjacency_matrix(h.line)
 
-poly = char_poly_exact(a_line)
-print("line adjacency char poly coefficients (monic, descending):", poly.coefficients)
 spec = eigenvalues_symmetric(a_line)
 print("eigenvalues:", [round(x, 7) for x in spec.eigenvalues])
 

@@ -1,8 +1,9 @@
 """hyperline: line multigraphs of general hypergraphs.
 
-Exact incidence algebra (integer matrices, integer kernels), floating
-spectra with exact characteristic-polynomial oracles, collar recognition
-and eigenvalue certificates, and general power hypergraphs.
+Exact incidence algebra (numpy integer matrices, integer kernels by
+fraction-free elimination), floating spectra from one symmetric
+eigensolver, collar recognition and exact eigenvalue certificates, and
+general power hypergraphs.
 """
 
 from .core import (
@@ -28,24 +29,19 @@ from .line import (
     uniformize,
 )
 from .matrices import (
-    IntMatrix,
     adjacency_matrix,
-    cardinality_matrix,
     exact_kernel,
     exact_rank,
     gram_identity_check,
     incidence_matrix,
     incidence_product,
-    matrix_vector,
     signless_laplacian,
 )
 from .spectra import (
     DEFAULT_TOLERANCE,
     Analysis,
     CertificateMinusR,
-    CharPoly,
     Spectrum,
-    char_poly_exact,
     certificate_minus_r,
     collar_certificate_vector,
     eigenvalues_symmetric,

@@ -136,7 +136,9 @@ def _cmd_line(args) -> int:
         for i, j, mult in g.pairs():
             print(f"{i} {j} {mult}")
     elif args.format == "matrix":
-        sys.stdout.write(adjacency_matrix(g).to_text())
+        print(g.order, g.order)
+        for row in adjacency_matrix(g).tolist():
+            print(*row)
     else:
         data = {
             "order": g.order,

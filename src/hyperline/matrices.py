@@ -1,165 +1,62 @@
-"""Exact integer matrices: incidence, cardinality, line adjacency, signless
-Laplacian, and exact kernel/rank computation.
+"""Exact integer matrices: incidence, line adjacency, signless Laplacian,
+and exact kernel/rank computation.
 
-Everything here is exact: matrix entries are Python integers of any size,
-and vectors, kernel vectors included, are plain `tuple[int, ...]`; floating
-point appears only downstream in the eigensolver. An `IntMatrix` is
-immutable and stored row-major, but no hot path forms a dense product:
+A matrix is a 2-D numpy integer array: `int64` from the builders, whose
+entries are counts of at most m, or `object` for entries beyond int64.
+Every routine here is exact. Rank and kernel read `matrix.tolist()` and
+run fraction-free Gauss-Jordan elimination (Bareiss) on Python integers,
+forming no `Fraction`; vectors, kernel vectors included, are plain
+`tuple[int, ...]`. Floating point appears only downstream, in the
+eigensolver.
 
-- `Q = B Bᵀ` is filled straight from the edge lists: each ordered pair of
-  vertices of an edge adds 1, which is `O(Σ|e|²)` work plus the `n²` output.
+- `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
+  because every entry is a count of at most m; an `int64` product would
+  run without BLAS.
 - `Bᵀ B = C + A_L` is checked in `gram_identity_check` without forming
   either side: each pair the line multigraph lists must have its edges'
   intersection as its multiplicity, and the total multiplicity must equal
   the count `line_edge_count` takes from degrees alone, which leaves no
   unlisted pair room to meet.
-- Rank and kernel come from fraction-free Gauss-Jordan elimination
-  (Bareiss) on integer rows; the elimination forms no `Fraction`.
-
-`IntMatrix.__matmul__` is the plain dense product. It is the reference
-route the tests check the constructions above against, and it serves the
-small products of `spectra.char_poly_exact`.
+- `B x` is `incidence_product`, summed from the incidence lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import Hypergraph, Multigraph
 from .line import line_edge_count
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]  # row-major
+def incidence_matrix(h: Hypergraph) -> np.ndarray:
+    """0/1 vertex-by-edge membership matrix (n x m), edges in input order.
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def diagonal(cls, values: Iterable[int]) -> "IntMatrix":
-        vals = list(values)
-        n = len(vals)
-        ent = [0] * (n * n)
-        for i, v in enumerate(vals):
-            ent[i * n + i] = int(v)
-        return cls(n, n, tuple(ent))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.diagonal([1] * n)
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(x for j in range(self.cols) for x in self.column(j)),
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Dense product, the reference route for the sparse constructions."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                sum(map(mul, self.row(i), col))
-                for i in range(self.rows)
-                for col in cols
-            ),
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scaled(self, t: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(t * x for x in self.entries))
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum(self.entries[:: self.cols + 1])
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.row(i) == self.column(i) for i in range(self.rows)
-        )
-
-    def to_text(self) -> str:
-        """Plain-text dump: "rows cols" then one space-separated line per row."""
-        lines = [f"{self.rows} {self.cols}"]
-        lines += [" ".join(str(x) for x in self.row(i)) for i in range(self.rows)]
-        return "\n".join(lines) + "\n"
+    Filled from `h.incidence`, so a stray vertex index raises `ValueError`.
+    """
+    b = np.zeros((h.n, h.m), dtype=np.int64)
+    rows = np.repeat(np.arange(h.n), h.degrees)
+    b[rows, list(chain.from_iterable(h.incidence))] = 1
+    return b
 
 
-def incidence_matrix(h: Hypergraph) -> IntMatrix:
-    """0/1 vertex-by-edge membership matrix (n x m), edges in input order."""
-    ent = [0] * (h.n * h.m)
-    for j, e in enumerate(h.edges):
-        for v in e:
-            ent[v * h.m + j] = 1
-    return IntMatrix(h.n, h.m, tuple(ent))
-
-
-def cardinality_matrix(h: Hypergraph) -> IntMatrix:
-    """Diagonal m x m matrix of edge cardinalities."""
-    return IntMatrix.diagonal(len(e) for e in h.edges)
-
-
-def adjacency_matrix(g: Multigraph) -> IntMatrix:
+def adjacency_matrix(g: Multigraph) -> np.ndarray:
     """Symmetric multiplicity matrix with zero diagonal."""
-    n = g.order
-    ent = [0] * (n * n)
-    for i, j, mult in g.pairs():
-        ent[i * n + j] = mult
-        ent[j * n + i] = mult
-    return IntMatrix(n, n, tuple(ent))
+    a = np.zeros((g.order, g.order), dtype=np.int64)
+    pairs = list(g.pairs())
+    if pairs:
+        i, j, mult = zip(*pairs)
+        a[i, j] = a[j, i] = mult
+    return a
 
 
-def signless_laplacian(h: Hypergraph) -> IntMatrix:
+def signless_laplacian(h: Hypergraph) -> np.ndarray:
     """B B^T: degrees on the diagonal, co-membership counts off it."""
-    n = h.n
-    ent = [0] * (n * n)
-    for e in h.edges:
-        for a in e:
-            base = a * n
-            for b in e:
-                ent[base + b] += 1
-    return IntMatrix(n, n, tuple(ent))
+    bf = incidence_matrix(h).astype(float)
+    return (bf @ bf.T).astype(np.int64)
 
 
 def gram_identity_check(h: Hypergraph) -> bool:
@@ -217,8 +114,8 @@ def _row_reduce(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def exact_rank(matrix: IntMatrix) -> int:
-    return len(_row_reduce([list(matrix.row(i)) for i in range(matrix.rows)]))
+def exact_rank(matrix: np.ndarray) -> int:
+    return len(_row_reduce(matrix.tolist()))
 
 
 def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
@@ -233,7 +130,7 @@ def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
 
 
 def exact_kernel(
-    matrix: IntMatrix, fixed_zero_columns: Iterable[int] = ()
+    matrix: np.ndarray, fixed_zero_columns: Iterable[int] = ()
 ) -> list[tuple[int, ...]]:
     """Integer basis of the null space, zero on the fixed columns.
 
@@ -242,11 +139,12 @@ def exact_kernel(
     integer vectors with positive leading entry, ordered by free column,
     so output is reproducible.
     """
+    n_cols = matrix.shape[1]
     fixed = set(fixed_zero_columns)
-    active = [c for c in range(matrix.cols) if c not in fixed]
+    active = [c for c in range(n_cols) if c not in fixed]
     if not active:
         return []
-    rows = [[row[c] for c in active] for row in map(matrix.row, range(matrix.rows))]
+    rows = matrix[:, active].tolist()
     pivots = _row_reduce(rows)
     # every pivot row holds the same pivot value d, so d times the rational
     # basis vector for free column f is integral
@@ -256,19 +154,12 @@ def exact_kernel(
     for f in range(len(active)):
         if f in pivot_set:
             continue
-        wide = [0] * matrix.cols
+        wide = [0] * n_cols
         wide[active[f]] = d
         for r_idx, p in enumerate(pivots):
             wide[active[p]] = -rows[r_idx][f]
         basis.append(_normalize_integer(wide))
     return basis
-
-
-def matrix_vector(matrix: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
-    """Dense `A x`; the reference route `incidence_product` is checked against."""
-    if matrix.cols != len(vec):
-        raise ValueError("dimension mismatch")
-    return tuple(sum(map(mul, matrix.row(i), vec)) for i in range(matrix.rows))
 
 
 def incidence_product(h: Hypergraph, vec: Sequence[int]) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""Spectra of the exact matrices: floating eigenvalues, exact characteristic
-polynomials, eigenvalue bounds and certificates.
+"""Spectra of the exact matrices: floating eigenvalues, eigenvalue bounds
+and certificates.
 
 The eigensolver is the only floating-point component; everything feeding it
 and every certificate is exact. Kernel certificates prove that -r (r the
@@ -12,14 +12,12 @@ largest-cardinality edges, is such a proof, and conversely none exists when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .core import Hypergraph, is_uniform, rank_corank
 from .matrices import (
-    IntMatrix,
     adjacency_matrix,
     exact_kernel,
     exact_rank,
@@ -89,26 +87,8 @@ class CertificateMinusR:
     r: int
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial with exact integer coefficients,
-    stored descending: coefficients[i] multiplies x^(degree - i)."""
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-
 def eigenvalues_symmetric(
-    matrix: IntMatrix, tolerance: float = DEFAULT_TOLERANCE
+    matrix: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> Spectrum:
     """All eigenvalues of an exactly-symmetric integer matrix, descending.
 
@@ -119,32 +99,10 @@ def eigenvalues_symmetric(
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie in (0, 1)")
     # on the integers: a float comparison would pass unequal entries above 2**53
-    if not matrix.is_symmetric():
+    if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix not symmetric")
-    arr = np.array(matrix.entries, dtype=float).reshape(matrix.rows, matrix.cols)
-    vals = np.linalg.eigvalsh(arr)
+    vals = np.linalg.eigvalsh(matrix.astype(float))
     return Spectrum(tuple(float(v) for v in vals[::-1]), tolerance)
-
-
-def char_poly_exact(matrix: IntMatrix) -> CharPoly:
-    """Exact monic characteristic polynomial over the integers.
-
-    Faddeev-LeVerrier recurrence with big integers; every division is by
-    the step index and is exact.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("characteristic polynomial of non-square matrix")
-    n = matrix.rows
-    coeffs = [1]
-    m = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = matrix @ m
-        q, rem = divmod(-am.trace(), k)
-        if rem:
-            raise AssertionError(f"Faddeev-LeVerrier step {k} left remainder {rem}")
-        coeffs.append(q)
-        m = am + IntMatrix.identity(n).scaled(q)
-    return CharPoly(tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Nothing here calls the code paths under test: connectivity is decided by
 relation closure, line multiplicities, linearity and nested edges by
 testing every pair of edges, `reduce_core` by rescanning to a fixpoint,
 collars by full subset enumeration (and by the search over all edges that
-the kernel-pruned search replaced), eigenvalues by isolating the real
-roots of the exact characteristic polynomial symbolically, and rank and
+the kernel-pruned search replaced), the incidence matrix entry by entry
+from the edge lists, characteristic polynomials by sympy, eigenvalues by
+isolating the real roots of that polynomial symbolically, and rank and
 kernel by a reduced row echelon form over `Fraction`s.
 """
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
 import sympy
 
 from hyperline import CollarWitness, Hypergraph
@@ -193,6 +195,27 @@ def collar_search_unpruned(h: Hypergraph) -> CollarWitness | None:
         return None
 
     return attempt(0)
+
+
+def dense_incidence(h: Hypergraph) -> np.ndarray:
+    """The 0/1 vertex-by-edge matrix, one entry per member of each edge."""
+    b = np.zeros((h.n, h.m), dtype=np.int64)
+    for j, e in enumerate(h.edges):
+        for v in e:
+            b[v, j] = 1
+    return b
+
+
+@lru_cache(maxsize=None)
+def _charpoly_cached(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    x = sympy.Symbol("x")
+    return tuple(int(c) for c in sympy.Matrix(rows).charpoly(x).all_coeffs())
+
+
+def charpoly_coefficients(rows) -> tuple[int, ...]:
+    """Monic characteristic polynomial of a square integer matrix given as
+    rows, coefficients descending."""
+    return _charpoly_cached(tuple(tuple(int(x) for x in row) for row in rows))
 
 
 @lru_cache(maxsize=None)

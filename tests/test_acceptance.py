@@ -7,6 +7,7 @@ Every tolerance is pinned here; the corpus is the 500-seed session fixture.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from hyperline import (
@@ -15,9 +16,7 @@ from hyperline import (
     Hypergraph,
     PowerParams,
     adjacency_matrix,
-    cardinality_matrix,
     certificate_minus_r,
-    char_poly_exact,
     collar_certificate_vector,
     collar_implies_bipartite_check,
     degree_profile,
@@ -28,7 +27,6 @@ from hyperline import (
     is_uniform,
     line_degree_formula,
     line_edge_count,
-    matrix_vector,
     parse_text,
     power_hypergraph,
     power_spectrum_formula,
@@ -40,7 +38,7 @@ from hyperline import (
     uniformize,
 )
 import helpers
-from oracles import charpoly_real_roots
+from oracles import charpoly_coefficients, charpoly_real_roots
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -99,7 +97,7 @@ def test_criterion_01_worked_example_reproduction():
     if line_edge_count(h) != 4:
         failures.append("line edge count")
     a_line = adjacency_matrix(lm)
-    if char_poly_exact(a_line).coefficients != (1, 0, -6, -4):
+    if charpoly_coefficients(a_line.tolist()) != (1, 0, -6, -4):
         failures.append("char poly")
     spec_a = eigenvalues_symmetric(a_line).eigenvalues
     if not close_multisets(spec_a, [1 + SQRT3, 1 - SQRT3, -2.0], 1e-8):
@@ -114,9 +112,9 @@ def test_criterion_02_gram_identity(bundles):
     failures = []
     start = time.perf_counter()
     for item in bundles:
-        lhs = item["b"].transpose() @ item["b"]
-        rhs = cardinality_matrix(item["h"]) + item["a_line"]
-        if lhs != rhs:
+        lhs = item["b"].T @ item["b"]
+        rhs = np.diag([len(e) for e in item["h"].edges]) + item["a_line"]
+        if not np.array_equal(lhs, rhs):
             failures.append(f"gram failed on {item['h']}")
     finish(2, "gram identity on 500 instances", failures,
            time.perf_counter() - start, 10.0)
@@ -140,7 +138,7 @@ def test_criterion_04_certificate_iff(bundles):
         if (cert is not None) != present:
             failures.append(f"iff mismatch on {h}")
         if cert is not None:
-            if any(matrix_vector(item["b"], cert.vector)):
+            if (item["b"] @ cert.vector).any():
                 failures.append(f"certificate not in kernel on {h}")
             small = [i for i, e in enumerate(h.edges) if len(e) < r]
             if any(cert.vector[i] != 0 for i in small):
@@ -169,7 +167,7 @@ def test_criterion_05_collar_certificates(collar3):
         cert = collar_certificate_vector(h, witness)
         if cert.r != k or any(x not in (1, -1) for x in cert.vector):
             failures.append(f"{name}: certificate not a +-1 vector")
-        if any(matrix_vector(incidence_matrix(h), cert.vector)):
+        if (incidence_matrix(h) @ cert.vector).any():
             failures.append(f"{name}: certificate not an exact kernel vector")
         spec = eigenvalues_symmetric(adjacency_matrix(g))
         if not spec.contains(-float(k), 1e-8):
@@ -299,9 +297,9 @@ def test_criterion_10_oracle_cross_check(bundles):
     checked = 0
     for item in bundles:
         for mat, spec in ((item["a_line"], item["spec_line"]), (item["q"], item["spec_q"])):
-            if mat.rows > 6:
+            if mat.shape[0] > 6:
                 continue
-            roots = charpoly_real_roots(char_poly_exact(mat).coefficients)
+            roots = charpoly_real_roots(charpoly_coefficients(mat.tolist()))
             checked += 1
             if not close_multisets(spec.eigenvalues, roots, 1e-8):
                 failures.append(f"eigensolver disagrees with char poly roots on {item['h']}")

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from hyperline import (
     Hypergraph,
     Multigraph,
+    certificate_minus_r,
     degree_profile,
+    find_collar_subhypergraph,
+    incidence_matrix,
     is_connected,
     is_uniform,
     is_valid,
@@ -16,6 +19,7 @@ from hyperline import (
     zagreb_index,
     power_hypergraph,
     PowerParams,
+    signless_laplacian,
 )
 
 import helpers
@@ -60,8 +64,15 @@ def test_incidence_rejects_stray_indices(stray):
     for read in (lambda: h.incidence, lambda: h.degrees, lambda: h.line):
         with pytest.raises(ValueError, match=message):
             read()
-    with pytest.raises(ValueError, match=message):
-        is_connected(h)
+    for fn in (
+        is_connected,
+        incidence_matrix,
+        signless_laplacian,
+        certificate_minus_r,
+        find_collar_subhypergraph,
+    ):
+        with pytest.raises(ValueError, match=message):
+            fn(h)
     assert [(v.rule, v.message) for v in validate(h)] == [
         ("index-out-of-range", message)
     ]

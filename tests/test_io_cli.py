@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -327,3 +331,18 @@ def test_cli_directory_path(tmp_path, capsys):
 def test_cli_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["power", "x.hg", "-t", "2"]) == 2  # missing -k
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # sympy and fractions are test-only; logging is imported lazily by the
+    # collar search, so that startup stays flat
+    probe = (
+        "import sys, hyperline.cli; "
+        "print(sorted(set(sys.modules) & {'sympy', 'fractions', 'logging'}))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
