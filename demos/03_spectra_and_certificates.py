@@ -9,13 +9,13 @@ rank-sized edges. Collars supply such vectors in closed form.
 from pathlib import Path
 
 from hyperline import (
-    Analysis,
     adjacency_matrix,
     certificate_minus_r,
     collar_certificate_vector,
     eigenvalues_symmetric,
     is_collar,
     parse_path,
+    run_all_checks,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -26,8 +26,13 @@ a_line = adjacency_matrix(h.line)
 spec = eigenvalues_symmetric(a_line)
 print("eigenvalues:", [round(x, 7) for x in spec.eigenvalues])
 
-report = Analysis(h).lower_bound
-print(f"lambda_min = {report.lambda_min:.7f} >= -rank = {report.bound}: {report.passed}")
+# the check report decides the floor: lambda_min >= -r to within its tolerance
+floor = next(
+    e for e in run_all_checks(h).entries
+    if e.name == "line-eigenvalues-at-least-minus-rank"
+)
+lam, r = floor.details["lambda_min"], floor.details["rank"]
+print(f"lambda_min = {lam:.7f} >= -rank = {-float(r)}: {floor.passed}")
 
 # Here -3 is NOT attained: the kernel of the 5x3 incidence matrix is
 # trivial, so no certificate exists.

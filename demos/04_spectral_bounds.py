@@ -5,26 +5,27 @@ the sandwich rho(Q) - r <= rho(A_L) <= rho(Q) - s (tight iff uniform), and
 the degree-sum window (tight iff uniform and edge-regular).
 """
 
-from hyperline import Analysis, Hypergraph
+from hyperline import Hypergraph, regularity_report, run_all_checks
 
 
 def show(name, h):
-    a = Analysis(h, 1e-6)
-    sw, ds = a.sandwich, a.degree_sums
+    # each bound's entry in the check report says whether it is attained
+    entries = {e.name: e.details for e in run_all_checks(h, 1e-6).entries}
+    sw, ds = entries["spectral-radius-sandwich"], entries["degree-sum-bounds"]
+    edge_regular = regularity_report(h).edge_regular is not None
     print(f"{name}:")
     print(
-        f"  rho(Q) = {sw.rho_q:.6f}, rho(A_L) = {sw.rho_line:.6f}, "
-        f"rank = {sw.rank}, corank = {sw.corank}"
+        f"  rho(Q) = {sw['rho_q']:.6f}, rho(A_L) = {sw['rho_line']:.6f}, "
+        f"rank = {sw['rank']}, corank = {sw['corank']}"
     )
     print(
-        f"  sandwich: {sw.rho_q - sw.rank:.6f} <= {sw.rho_line:.6f} "
-        f"<= {sw.rho_q - sw.corank:.6f}"
-        f"  (uniform: {sw.uniform}, tight: {sw.lower_equality or sw.upper_equality})"
+        f"  sandwich: {sw['rho_q'] - sw['rank']:.6f} <= {sw['rho_line']:.6f} "
+        f"<= {sw['rho_q'] - sw['corank']:.6f}"
+        f"  (uniform: {sw['uniform']}, tight: {sw['equality']})"
     )
     print(
-        f"  degree sums: {ds.lower_bound} <= rho(Q) <= {ds.upper_bound}"
-        f"  (edge-regular: {ds.edge_regular}, "
-        f"tight: {ds.lower_equality or ds.upper_equality})"
+        f"  degree sums: {ds['lower']} <= rho(Q) <= {ds['upper']}"
+        f"  (edge-regular: {edge_regular}, tight: {ds['equality']})"
     )
     print()
 

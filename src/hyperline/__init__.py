@@ -39,7 +39,6 @@ from .matrices import (
 )
 from .spectra import (
     DEFAULT_TOLERANCE,
-    Analysis,
     CertificateMinusR,
     Spectrum,
     certificate_minus_r,

@@ -4,6 +4,11 @@ Each entry pairs an independent recomputation against the library's primary
 path (degree formulas vs. constructed multigraphs, exact kernels vs.
 floating spectra, closed forms vs. direct constructions), so a failing
 entry means a genuine inconsistency rather than a tolerance artifact.
+
+The three float claims (the -rank floor, the spectral-radius sandwich and
+the degree-sum window) are decided here and nowhere else: a bound holds
+when it is met to within the caller's tolerance, and is attained when the
+gap to it is at most that tolerance.
 """
 
 from __future__ import annotations
@@ -11,17 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import Hypergraph, is_connected, is_uniform, multigraph_is_connected
+from .core import (
+    Hypergraph,
+    is_connected,
+    is_uniform,
+    multigraph_is_connected,
+    rank_corank,
+)
 from .line import line_degree_formula, line_edge_count
-from .matrices import gram_identity_check
+from .matrices import adjacency_matrix, gram_identity_check, signless_laplacian
 from .power import PowerParams, power_line_invariance_check
 from .spectra import (
     DEFAULT_TOLERANCE,
-    Analysis,
     certificate_minus_r,
     collar_certificate_vector,
+    eigenvalues_symmetric,
 )
-from .structure import collar_implies_bipartite_check, is_collar
+from .structure import collar_implies_bipartite_check, is_collar, regularity_report
 
 
 @dataclass(frozen=True)
@@ -75,12 +86,17 @@ class CheckReport:
 def run_all_checks(
     h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
 ) -> CheckReport:
-    a = Analysis(h, tolerance)
-    r, s = a.rank, a.corank
+    r, s = rank_corank(h)
     connected = is_connected(h)
     uniform = is_uniform(h)
     lm = h.line
+    regularity = regularity_report(h)
+    spec_line = eigenvalues_symmetric(adjacency_matrix(lm), tolerance)
+    spec_q = eigenvalues_symmetric(signless_laplacian(h), tolerance)
     entries: list[CheckEntry] = []
+
+    def attained(value: float, bound: float) -> bool:
+        return abs(value - bound) <= tolerance
 
     if 0 in h.degrees:
         entries.append(
@@ -101,7 +117,7 @@ def run_all_checks(
             )
         )
 
-    linear = a.regularity.linear
+    linear = regularity.linear
     line_simple = all(mult <= 1 for _, _, mult in lm.pairs())
     entries.append(
         CheckEntry(
@@ -131,24 +147,23 @@ def run_all_checks(
         )
     )
 
-    skew = a.regularity.skew_edge_regular is not None
+    skew = regularity.skew_edge_regular is not None
     line_regular = len(set(actual)) <= 1
     entries.append(CheckEntry("skew-edge-regular-iff-line-regular", skew == line_regular))
 
     entries.append(CheckEntry("gram-identity", gram_identity_check(h)))
 
-    lb = a.lower_bound
+    lam = spec_line.smallest
     entries.append(
         CheckEntry(
             "line-eigenvalues-at-least-minus-rank",
-            lb.passed,
-            {"lambda_min": lb.lambda_min, "rank": lb.rank},
+            lam >= -r - tolerance,
+            {"lambda_min": lam, "rank": r},
             tolerance,
         )
     )
 
     cert = certificate_minus_r(h)
-    spec_line = a.line_spectrum
     has_eig = spec_line.contains(-float(r), tolerance)
     details: dict[str, Any] = {"certificate": cert is not None, "eigenvalue_minus_r": has_eig}
     ok = (cert is not None) == has_eig
@@ -199,33 +214,38 @@ def run_all_checks(
                 )
             )
 
-    sw = a.sandwich
-    ok = sw.passed
+    # rho(Q) - r <= rho(A_L) <= rho(Q) - s, tight exactly when uniform
+    rho_q, rho_line = spec_q.spectral_radius, spec_line.spectral_radius
+    ok = rho_q - r <= rho_line + tolerance and rho_line <= rho_q - s + tolerance
     details = {
-        "rho_q": sw.rho_q,
-        "rho_line": sw.rho_line,
+        "rho_q": rho_q,
+        "rho_line": rho_line,
         "rank": r,
         "corank": s,
-        "uniform": sw.uniform,
+        "uniform": r == s,
     }
     if connected:
-        tight = sw.lower_equality or sw.upper_equality
+        tight = attained(rho_line, rho_q - r) or attained(rho_line, rho_q - s)
         details["equality"] = tight
-        ok = ok and (tight == sw.uniform)
+        ok = ok and tight == (r == s)
     entries.append(CheckEntry("spectral-radius-sandwich", ok, details, tolerance))
 
-    ds = a.degree_sums
-    ok = ds.passed
+    # edge degree sums bound rho(Q), tight exactly when uniform and edge-regular
+    degs = h.degrees
+    sums = [sum(degs[v] for v in e) for e in h.edges]
+    lower, upper = min(sums) - (r - s), max(sums) + (r - s)
+    homogeneous = r == s and regularity.edge_regular is not None
+    ok = lower - tolerance <= rho_q <= upper + tolerance
     details = {
-        "lower": ds.lower_bound,
-        "upper": ds.upper_bound,
-        "rho_q": ds.rho_q,
-        "uniform_and_edge_regular": ds.uniform and ds.edge_regular,
+        "lower": lower,
+        "upper": upper,
+        "rho_q": rho_q,
+        "uniform_and_edge_regular": homogeneous,
     }
     if connected:
-        tight = ds.lower_equality or ds.upper_equality
+        tight = attained(rho_q, lower) or attained(rho_q, upper)
         details["equality"] = tight
-        ok = ok and (tight == (ds.uniform and ds.edge_regular))
+        ok = ok and tight == homogeneous
     entries.append(CheckEntry("degree-sum-bounds", ok, details, tolerance))
 
     params = PowerParams(t=2, k=2 * r)

@@ -13,6 +13,7 @@ inspected. All types are immutable values.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,6 +112,12 @@ class Multigraph:
                 raise ValueError(f"self-loop at vertex {i}")
             if not 0 <= i < order or not 0 <= j < order:
                 raise ValueError(f"vertex pair {(i, j)} out of range for order {order}")
+            try:
+                mult = operator.index(mult)
+            except TypeError:
+                raise ValueError(
+                    f"non-integer multiplicity {mult!r} at {(i, j)}"
+                ) from None
             if mult < 0:
                 raise ValueError(f"negative multiplicity at {(i, j)}")
             if mult == 0:
@@ -119,12 +126,6 @@ class Multigraph:
             norm[key] = norm.get(key, 0) + mult
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "multiplicities", norm)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        key = (u, v) if u < v else (v, u)
-        return self.multiplicities.get(key, 0)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.order:

@@ -72,9 +72,13 @@ def parse_path(path: str | os.PathLike) -> Hypergraph:
 
 
 def emit(h: Hypergraph) -> str:
-    """Serialize back to the edge-per-line format."""
+    """Serialize back to the edge-per-line format, which has no way to
+    write a vertex that lies in no edge."""
     for label in h.labels:
         if not label or label.split() != [label] or label.startswith("#"):
             raise ValueError(f"label {label!r} cannot be written to the text format")
+    if 0 in h.degrees:
+        label = h.labels[h.degrees.index(0)]
+        raise ValueError(f"isolated vertex {label!r} cannot be written to the text format")
     lines = [" ".join(h.labels[v] for v in e) for e in h.edges]
     return "\n".join(lines) + "\n"

@@ -1,5 +1,5 @@
-"""Spectra of the exact matrices: floating eigenvalues, eigenvalue bounds
-and certificates.
+"""Spectra of the exact matrices: floating eigenvalues and exact
+certificates.
 
 The eigensolver is the only floating-point component; everything feeding it
 and every certificate is exact. Kernel certificates prove that -r (r the
@@ -12,13 +12,11 @@ largest-cardinality edges, is such a proof, and conversely none exists when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .core import Hypergraph, is_uniform, rank_corank
 from .matrices import (
-    adjacency_matrix,
     exact_kernel,
     exact_rank,
     incidence_matrix,
@@ -26,12 +24,7 @@ from .matrices import (
     signless_laplacian,
 )
 from .power import PowerParams
-from .structure import (
-    CollarWitness,
-    RegularityReport,
-    check_collar_witness,
-    regularity_report,
-)
+from .structure import CollarWitness, check_collar_witness
 
 DEFAULT_TOLERANCE = 1e-9
 # eigenvalues closer than this multiple of the tolerance get grouped
@@ -105,17 +98,6 @@ def eigenvalues_symmetric(
     return Spectrum(tuple(float(v) for v in vals[::-1]), tolerance)
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    """Smallest line-adjacency eigenvalue against the -rank floor."""
-
-    lambda_min: float
-    rank: int
-    bound: float
-    passed: bool
-    tolerance: float
-
-
 def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
     """Exact kernel certificate for -r, or None when -r is not an eigenvalue.
 
@@ -150,123 +132,6 @@ def collar_certificate_vector(
     if k is None:
         raise ValueError("host hypergraph is not uniform")
     return CertificateMinusR(vec, k)
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """rho(Q) - r <= rho(A_L) <= rho(Q) - s, with equality exactly when uniform."""
-
-    rho_q: float
-    rho_line: float
-    rank: int
-    corank: int
-    uniform: bool
-    lower_ok: bool
-    upper_ok: bool
-    lower_equality: bool
-    upper_equality: bool
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-
-@dataclass(frozen=True)
-class DegreeSumReport:
-    """Edge degree-sum bounds on rho(Q), tight exactly for uniform
-    edge-regular inputs."""
-
-    lower_bound: int
-    upper_bound: int
-    rho_q: float
-    uniform: bool
-    edge_regular: bool
-    lower_ok: bool
-    upper_ok: bool
-    lower_equality: bool
-    upper_equality: bool
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-
-class Analysis:
-    """The derived objects of one hypergraph that several claims read, each
-    built once, on first use.
-
-    `tolerance` is the one float rule: a bound holds when it is met to within
-    it, and is attained when the gap to it is at most it. `B`, its kernel
-    and the -r certificate have a single reader each, so they stay plain
-    calls (`incidence_matrix`, `certificate_minus_r`). The line multigraph
-    is `h.line`, cached on the hypergraph itself.
-    """
-
-    def __init__(self, h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE):
-        self.h = h
-        self.tolerance = tolerance
-        self.rank, self.corank = rank_corank(h)
-
-    def _attained(self, value: float, bound: float) -> bool:
-        return abs(value - bound) <= self.tolerance
-
-    @cached_property
-    def line_spectrum(self) -> Spectrum:
-        return eigenvalues_symmetric(adjacency_matrix(self.h.line), self.tolerance)
-
-    @cached_property
-    def q_spectrum(self) -> Spectrum:
-        return eigenvalues_symmetric(signless_laplacian(self.h), self.tolerance)
-
-    @cached_property
-    def regularity(self) -> RegularityReport:
-        return regularity_report(self.h)
-
-    @cached_property
-    def lower_bound(self) -> LowerBoundReport:
-        lam, r, tol = self.line_spectrum.smallest, self.rank, self.tolerance
-        return LowerBoundReport(lam, r, -float(r), lam >= -r - tol, tol)
-
-    @cached_property
-    def sandwich(self) -> SandwichReport:
-        r, s, tol = self.rank, self.corank, self.tolerance
-        rho_q = self.q_spectrum.spectral_radius
-        rho_line = self.line_spectrum.spectral_radius
-        return SandwichReport(
-            rho_q=rho_q,
-            rho_line=rho_line,
-            rank=r,
-            corank=s,
-            uniform=r == s,
-            lower_ok=rho_q - r <= rho_line + tol,
-            upper_ok=rho_line <= rho_q - s + tol,
-            lower_equality=self._attained(rho_line, rho_q - r),
-            upper_equality=self._attained(rho_line, rho_q - s),
-            tolerance=tol,
-        )
-
-    @cached_property
-    def degree_sums(self) -> DegreeSumReport:
-        r, s, tol = self.rank, self.corank, self.tolerance
-        degs = self.h.degrees
-        sums = [sum(degs[v] for v in e) for e in self.h.edges]
-        lower = min(sums) - (r - s)
-        upper = max(sums) + (r - s)
-        rho_q = self.q_spectrum.spectral_radius
-        return DegreeSumReport(
-            lower_bound=lower,
-            upper_bound=upper,
-            rho_q=rho_q,
-            uniform=r == s,
-            edge_regular=self.regularity.edge_regular is not None,
-            lower_ok=lower - tol <= rho_q,
-            upper_ok=rho_q <= upper + tol,
-            lower_equality=self._attained(rho_q, lower),
-            upper_equality=self._attained(rho_q, upper),
-            tolerance=tol,
-        )
 
 
 def power_spectrum_formula(

@@ -72,25 +72,19 @@ def regularity_report(h: Hypergraph) -> RegularityReport:
     return RegularityReport(regular, edge_regular, skew, linear)
 
 
-def _line_adjacency_sets(h: Hypergraph, chosen: list[int]) -> dict[int, list[int]]:
-    """Ascending distinct line neighbours of each chosen edge, among `chosen`."""
-    members = set(chosen)
-    return {
-        i: sorted(
-            {j for v in h.edges[i] for j in h.incidence[v] if j != i and j in members}
-        )
-        for i in chosen
-    }
-
-
-def _two_color(adj: dict[int, list[int]]) -> tuple[dict[int, int] | None, bool]:
-    """BFS 2-coloring, component roots colored 1 in ascending index order.
+def _two_color(
+    h: Hypergraph, chosen: list[int]
+) -> tuple[dict[int, int] | None, bool]:
+    """BFS 2-coloring of the line graph on the `chosen` edges, component
+    roots colored 1 in ascending index order. Each edge reaches the other
+    chosen edges through its vertices' incidence lists.
 
     Returns (coloring or None on an odd cycle, single-component flag).
     """
+    members = set(chosen)
     coloring: dict[int, int] = {}
     components = 0
-    for root in sorted(adj):
+    for root in sorted(chosen):
         if root in coloring:
             continue
         components += 1
@@ -98,12 +92,15 @@ def _two_color(adj: dict[int, list[int]]) -> tuple[dict[int, int] | None, bool]:
         queue = deque([root])
         while queue:
             i = queue.popleft()
-            for j in adj[i]:
-                if j not in coloring:
-                    coloring[j] = 3 - coloring[i]
-                    queue.append(j)
-                elif coloring[j] == coloring[i]:
-                    return None, components == 1
+            for v in h.edges[i]:
+                for j in h.incidence[v]:
+                    if j == i or j not in members:
+                        continue
+                    if j not in coloring:
+                        coloring[j] = 3 - coloring[i]
+                        queue.append(j)
+                    elif coloring[j] == coloring[i]:
+                        return None, components == 1
     return coloring, components <= 1
 
 
@@ -118,7 +115,7 @@ def is_collar(h: Hypergraph) -> CollarWitness | None:
     if any(d != 2 for d in degree_profile(h).degrees):
         return None
     chosen = list(range(h.m))
-    coloring, connected = _two_color(_line_adjacency_sets(h, chosen))
+    coloring, connected = _two_color(h, chosen)
     if coloring is None:
         return None
     return CollarWitness(tuple(chosen), coloring, connected)
@@ -233,7 +230,7 @@ def find_collar_subhypergraph(
                 count[v] = count.get(v, 0) + 1
             chosen.append(support[j])
             if complete():
-                coloring, connected = _two_color(_line_adjacency_sets(h, chosen))
+                coloring, connected = _two_color(h, chosen)
                 if coloring is not None:
                     return CollarWitness(tuple(chosen), coloring, connected)
                 # any valid superset adds only disjoint edges; the odd cycle stays

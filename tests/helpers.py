@@ -9,6 +9,11 @@ from hyperline import Hypergraph, Multigraph
 TRIO_TEXT = "1 2 3\n1 4 5\n3 4 5\n"
 
 
+def entry_map(report) -> dict:
+    """The report's check entries by name."""
+    return {e.name: e for e in report.entries}
+
+
 def from_label_edges(edge_lists) -> Hypergraph:
     labels: list[str] = []
     index: dict[str, int] = {}

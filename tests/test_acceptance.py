@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hyperline import (
-    Analysis,
     CollarWitness,
     Hypergraph,
     PowerParams,
@@ -33,6 +32,7 @@ from hyperline import (
     rank_corank,
     reduce_core,
     regularity_report,
+    run_all_checks,
     scale_multigraph,
     signless_laplacian,
     uniformize,
@@ -222,11 +222,17 @@ def test_criterion_07_spectral_radius_bounds(bundles, equality_family):
     if len(equality_family) != 20:
         failures.append(f"equality family has {len(equality_family)} members")
     for h in equality_family:
-        sw = Analysis(h, 1e-6).sandwich
-        ds = Analysis(h, 1e-6).degree_sums
-        if not (sw.lower_equality and sw.upper_equality):
+        entries = helpers.entry_map(run_all_checks(h, 1e-6))
+        sw = entries["spectral-radius-sandwich"].details
+        ds = entries["degree-sum-bounds"].details
+        sw_gaps = (
+            sw["rho_line"] - (sw["rho_q"] - sw["rank"]),
+            sw["rho_line"] - (sw["rho_q"] - sw["corank"]),
+        )
+        ds_gaps = (ds["rho_q"] - ds["lower"], ds["rho_q"] - ds["upper"])
+        if not all(abs(gap) <= 1e-6 for gap in sw_gaps):
             failures.append("hand-built case misses sandwich equality")
-        if not (ds.lower_equality and ds.upper_equality):
+        if not all(abs(gap) <= 1e-6 for gap in ds_gaps):
             failures.append("hand-built case misses degree-sum equality")
     finish(7, "spectral radius sandwich + degree-sum bounds", failures)
 

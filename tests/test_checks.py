@@ -1,20 +1,19 @@
 import time
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 import hyperline.checks
 import hyperline.spectra
 import hyperline.structure
-from hyperline import Analysis, Hypergraph, Multigraph, run_all_checks
+from hyperline import Hypergraph, Multigraph, run_all_checks
 
 import helpers
+from helpers import entry_map
+from oracles import dense_incidence
 
 build_line = Hypergraph.line.func
-
-
-def entry_map(report):
-    return {e.name: e for e in report.entries}
 
 
 def test_checks_trio(trio):
@@ -99,13 +98,16 @@ def test_checks_single_edge():
 def test_checks_build_each_derived_object_once(monkeypatch):
     counts = {}
     for name in ("eigenvalues_symmetric", "signless_laplacian", "regularity_report"):
-        original = getattr(hyperline.spectra, name)
+        original = getattr(hyperline.checks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(hyperline.spectra, name, counted)
+        # every module that could call it, so a second caller is counted too
+        for module in (hyperline.checks, hyperline.spectra):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
 
     def counted_line(h):
         counts["line"] = counts.get("line", 0) + 1
@@ -180,16 +182,31 @@ def test_checks_catch_a_corrupted_line(monkeypatch, build, h, failing):
     assert failing <= failed
 
 
+def bound_gaps(h):
+    """Gaps to the sandwich and degree-sum bounds, from a dense `B` built
+    entry by entry and numpy's `eigvalsh`."""
+    b = dense_incidence(h)
+    sizes = b.sum(axis=0)
+    r, s = int(sizes.max()), int(sizes.min())
+    rho_q = np.linalg.eigvalsh((b @ b.T).astype(float))[-1]
+    rho_line = np.linalg.eigvalsh((b.T @ b - np.diag(sizes)).astype(float))[-1]
+    sums = b.T @ b.sum(axis=1)
+    lower, upper = int(sums.min()) - (r - s), int(sums.max()) + (r - s)
+    return {
+        "spectral-radius-sandwich": (
+            abs(rho_line - (rho_q - r)),
+            abs(rho_line - (rho_q - s)),
+        ),
+        "degree-sum-bounds": (abs(rho_q - lower), abs(rho_q - upper)),
+    }
+
+
 # no instance here has a bound gap between 1e-9 and 1e-6, so only 0.1 would
 # tell the caller's tolerance apart from a fixed threshold in that range
 @pytest.mark.parametrize("tol", (1e-9, 1e-6, 0.1))
 def test_checks_attainment_follows_the_analysis_rule(corpus, equality_family, tol):
     for h in corpus + equality_family:
         entries = entry_map(run_all_checks(h, tol))
-        a = Analysis(h, tol)
-        for name, rep in (
-            ("spectral-radius-sandwich", a.sandwich),
-            ("degree-sum-bounds", a.degree_sums),
-        ):
-            tight = rep.lower_equality or rep.upper_equality
+        for name, (lower_gap, upper_gap) in bound_gaps(h).items():
+            tight = lower_gap <= tol or upper_gap <= tol
             assert entries[name].details["equality"] == tight

@@ -4,10 +4,12 @@ Every subcommand below runs in-process through `cli.main` on each
 `demos/data/*.hg` file; one sha256 covers each call's stdout and exit code,
 so a refactor that changes any printed byte fails here. Subcommands that
 print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
-out: their last digits depend on the LAPACK build.
+out of that digest: their last digits depend on the LAPACK build. A second
+digest covers `check --json` with every float rounded to 6 decimals.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from hyperline.cli import main
@@ -36,4 +38,27 @@ def test_cli_output_on_demo_data_is_pinned(capsys):
     assert [p.name for p in DATA] == ["c4.hg", "collar3.hg", "p4.hg", "trio.hg"]
     assert digest.hexdigest() == (
         "3214beb7992fe2e1deceaa072e7c955fea055ab70dbda7b257ce7205e2464e74"
+    )
+
+
+def _rounded(value):
+    """JSON data with each float rounded to 6 decimals and -0.0 read as 0.0."""
+    if isinstance(value, float):
+        return round(value, 6) + 0.0  # -0.0 + 0.0 is 0.0
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def test_check_json_on_demo_data_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for path in DATA:
+        for tol in ("1e-9", "0.1"):
+            code = main(["check", str(path), "--json", "--tol", tol])
+            data = _rounded(json.loads(capsys.readouterr().out))
+            digest.update(f"{path.name} --tol {tol} -> {code}\n{json.dumps(data)}\n".encode())
+    assert digest.hexdigest() == (
+        "b0eef862837e0c3d37bffc01c8867e4620e2991ec7a5933481064ece61a0ae2c"
     )

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -212,6 +213,14 @@ def test_multigraph_degree_isolated_and_range():
 def test_multigraph_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         Multigraph(2, {(1, 1): 1})
+
+
+def test_multigraph_rejects_non_integer_multiplicity():
+    with pytest.raises(ValueError, match="non-integer multiplicity 1.5"):
+        Multigraph(2, {(0, 1): 1.5})
+    g = Multigraph(2, {(0, 1): np.int64(2)})
+    assert g.total_multiplicity() == 2
+    assert type(g.multiplicities[(0, 1)]) is int
 
 
 @settings(deadline=None)

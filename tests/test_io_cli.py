@@ -77,6 +77,14 @@ def test_emit_rejects_unwritable_labels():
         emit(Hypergraph(["#a", "c"], [[0, 1]]))
 
 
+def test_emit_rejects_isolated_vertices():
+    from hyperline import Hypergraph
+
+    # one edge per line: "a b" alone would parse back without "c"
+    with pytest.raises(ValueError, match="isolated vertex 'c'"):
+        emit(Hypergraph(["a", "b", "c"], [[0, 1]]))
+
+
 @settings(deadline=None, max_examples=50)
 @given(strategies.hypergraphs())
 def test_round_trip_random(h):

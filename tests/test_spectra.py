@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from hyperline import (
-    Analysis,
+    DEFAULT_TOLERANCE,
     CollarWitness,
     Hypergraph,
     adjacency_matrix,
@@ -13,10 +13,12 @@ from hyperline import (
     collar_certificate_vector,
     eigenvalues_symmetric,
     is_collar,
+    is_uniform,
     power_hypergraph,
     power_spectrum_formula,
     PowerParams,
     rank_corank,
+    run_all_checks,
     signless_laplacian,
 )
 
@@ -30,6 +32,32 @@ SQRT3 = math.sqrt(3)
 
 def line_adjacency(h):
     return adjacency_matrix(h.line)
+
+
+def check_entry(h, name, tolerance=DEFAULT_TOLERANCE):
+    return helpers.entry_map(run_all_checks(h, tolerance))[name]
+
+
+def lower_bound(h, tolerance=DEFAULT_TOLERANCE):
+    return check_entry(h, "line-eigenvalues-at-least-minus-rank", tolerance)
+
+
+def sandwich(h, tolerance=DEFAULT_TOLERANCE):
+    """The sandwich entry and whether each of its two bounds is attained."""
+    entry = check_entry(h, "spectral-radius-sandwich", tolerance)
+    d = entry.details
+    lower = abs(d["rho_line"] - (d["rho_q"] - d["rank"])) <= tolerance
+    upper = abs(d["rho_line"] - (d["rho_q"] - d["corank"])) <= tolerance
+    return entry, lower, upper
+
+
+def degree_sums(h, tolerance=DEFAULT_TOLERANCE):
+    """The degree-sum entry and whether each of its two bounds is attained."""
+    entry = check_entry(h, "degree-sum-bounds", tolerance)
+    d = entry.details
+    lower = abs(d["rho_q"] - d["lower"]) <= tolerance
+    upper = abs(d["rho_q"] - d["upper"]) <= tolerance
+    return entry, lower, upper
 
 
 def assert_close_multisets(actual, expected, tol=1e-8):
@@ -93,16 +121,16 @@ def test_spectrum_grouping_and_json():
 
 
 def test_lower_bound_examples(trio):
-    rep = Analysis(trio).lower_bound
-    assert rep.passed and rep.rank == 3
-    assert rep.lambda_min == pytest.approx(-2.0, abs=1e-9)
+    rep = lower_bound(trio)
+    assert rep.passed and rep.details["rank"] == 3
+    assert rep.details["lambda_min"] == pytest.approx(-2.0, abs=1e-9)
 
-    rep = Analysis(helpers.cycle(4)).lower_bound
+    rep = lower_bound(helpers.cycle(4))
     assert rep.passed
-    assert rep.lambda_min == pytest.approx(-2.0, abs=1e-9)  # attained exactly
+    assert rep.details["lambda_min"] == pytest.approx(-2.0, abs=1e-9)  # attained exactly
 
-    rep = Analysis(helpers.single_edge(2)).lower_bound
-    assert rep.passed and rep.lambda_min == pytest.approx(0.0)
+    rep = lower_bound(helpers.single_edge(2))
+    assert rep.passed and rep.details["lambda_min"] == pytest.approx(0.0)
 
 
 def test_certificate_examples(trio):
@@ -175,49 +203,55 @@ def test_collar_certificate_requires_uniform_host(collar3):
 
 
 def test_sandwich_trio(trio):
-    rep = Analysis(trio).sandwich
-    assert rep.passed and rep.uniform
-    assert rep.rho_q == pytest.approx(4 + SQRT3, abs=1e-9)
-    assert rep.rho_line == pytest.approx(1 + SQRT3, abs=1e-9)
-    assert rep.lower_equality and rep.upper_equality
+    rep, lower_eq, upper_eq = sandwich(trio)
+    assert rep.passed and rep.details["uniform"]
+    assert rep.details["rho_q"] == pytest.approx(4 + SQRT3, abs=1e-9)
+    assert rep.details["rho_line"] == pytest.approx(1 + SQRT3, abs=1e-9)
+    assert lower_eq and upper_eq
+    assert rep.details["equality"] is True
 
 
 def test_sandwich_non_uniform_strict():
     h = Hypergraph.from_edges([[0, 1], [1, 2, 3]])
-    rep = Analysis(h, tolerance=1e-6).sandwich
-    assert rep.passed and not rep.uniform
-    assert not rep.lower_equality and not rep.upper_equality
+    rep, lower_eq, upper_eq = sandwich(h, tolerance=1e-6)
+    assert rep.passed and not rep.details["uniform"]
+    assert not lower_eq and not upper_eq
+    assert rep.details["equality"] is False
 
 
 def test_sandwich_single_edge():
-    rep = Analysis(helpers.single_edge(2)).sandwich
-    assert rep.rho_q == pytest.approx(2.0)
-    assert rep.rho_line == pytest.approx(0.0)
-    assert rep.lower_equality and rep.upper_equality
+    rep, lower_eq, upper_eq = sandwich(helpers.single_edge(2))
+    assert rep.details["rho_q"] == pytest.approx(2.0)
+    assert rep.details["rho_line"] == pytest.approx(0.0)
+    assert lower_eq and upper_eq
 
 
 def test_degree_sum_bounds_cycle():
-    rep = Analysis(helpers.cycle(4)).degree_sums
-    assert (rep.lower_bound, rep.upper_bound) == (4, 4)
-    assert rep.rho_q == pytest.approx(4.0)
-    assert rep.uniform and rep.edge_regular
-    assert rep.lower_equality and rep.upper_equality
+    rep, lower_eq, upper_eq = degree_sums(helpers.cycle(4))
+    assert (rep.details["lower"], rep.details["upper"]) == (4, 4)
+    assert rep.details["rho_q"] == pytest.approx(4.0)
+    assert rep.details["uniform_and_edge_regular"]
+    assert lower_eq and upper_eq
+    assert rep.details["equality"] is True
 
 
 def test_degree_sum_bounds_trio(trio):
-    rep = Analysis(trio, tolerance=1e-6).degree_sums
-    assert (rep.lower_bound, rep.upper_bound) == (5, 6)
-    assert rep.rho_q == pytest.approx(4 + SQRT3, abs=1e-9)
+    rep, lower_eq, upper_eq = degree_sums(trio, tolerance=1e-6)
+    assert (rep.details["lower"], rep.details["upper"]) == (5, 6)
+    assert rep.details["rho_q"] == pytest.approx(4 + SQRT3, abs=1e-9)
     assert rep.passed
-    assert not rep.lower_equality and not rep.upper_equality
+    assert not lower_eq and not upper_eq
 
 
 def test_degree_sum_bounds_path():
-    rep = Analysis(helpers.path(4), tolerance=1e-6).degree_sums
-    assert (rep.lower_bound, rep.upper_bound) == (3, 4)
-    assert rep.rho_q == pytest.approx(2 + SQRT2, abs=1e-9)
-    assert rep.passed and not rep.edge_regular
-    assert not rep.lower_equality and not rep.upper_equality
+    h = helpers.path(4)
+    rep, lower_eq, upper_eq = degree_sums(h, tolerance=1e-6)
+    assert (rep.details["lower"], rep.details["upper"]) == (3, 4)
+    assert rep.details["rho_q"] == pytest.approx(2 + SQRT2, abs=1e-9)
+    # 2-uniform, so the combined flag is down because it is not edge-regular
+    assert is_uniform(h) == 2
+    assert rep.passed and not rep.details["uniform_and_edge_regular"]
+    assert not lower_eq and not upper_eq
 
 
 def test_power_spectrum_p4():
@@ -266,8 +300,8 @@ def test_power_spectrum_matches_direct(h):
 @settings(deadline=None, max_examples=40)
 @given(strategies.hypergraphs(max_n=6, max_m=5))
 def test_lower_bound_random(h):
-    rep = Analysis(h).lower_bound
-    assert rep.lambda_min >= -rep.rank - 10 * rep.tolerance
+    rep = lower_bound(h)
+    assert rep.details["lambda_min"] >= -rep.details["rank"] - 10 * rep.tolerance
 
 
 @settings(deadline=None, max_examples=40)
