@@ -8,7 +8,6 @@ are joined by a double edge in the line multigraph.
 from pathlib import Path
 
 from hyperline import (
-    degree_profile,
     from_multigraph,
     line_degree_formula,
     line_edge_count,
@@ -26,8 +25,8 @@ h = parse_path(DATA / "trio.hg")
 print("edges:", h.edge_label_sets())
 print("violations:", validate(h))
 
-prof = degree_profile(h)
-print("\ndegrees:", prof.degrees, " max/min/avg:", prof.max, prof.min, prof.average)
+degs = h.degrees
+print("\ndegrees:", degs, " max/min/avg:", max(degs), min(degs), sum(degs) / h.n)
 print("rank/corank:", rank_corank(h))
 print("zagreb index:", zagreb_index(h))
 

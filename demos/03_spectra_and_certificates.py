@@ -11,7 +11,7 @@ from pathlib import Path
 from hyperline import (
     adjacency_matrix,
     certificate_minus_r,
-    collar_certificate_vector,
+    check_collar_witness,
     eigenvalues_symmetric,
     is_collar,
     parse_path,
@@ -41,16 +41,16 @@ print("certificate for -3:", certificate_minus_r(h))
 # On the four-cycle the alternating vector certifies -2 exactly.
 c4 = parse_path(DATA / "c4.hg")
 cert = certificate_minus_r(c4)
-print("\nC4 certificate for -2:", list(cert.vector))
+print("\nC4 certificate for -2:", list(cert))
 
 # A collar is the structural reason: 2-regular, properly 2-colorable edge
 # set. Coloring classes give the +-1 kernel vector directly.
 collar = parse_path(DATA / "collar3.hg")
 witness = is_collar(collar)
 print("\n3-uniform collar recognized:", witness is not None)
-cert = collar_certificate_vector(collar, witness)
+cert = check_collar_witness(collar, witness)
 print("collar certificate (+1 on one class, -1 on the other):")
-print(" ", list(cert.vector))
+print(" ", list(cert))
 spec = eigenvalues_symmetric(adjacency_matrix(collar.line))
 print("line spectrum contains -3:", spec.contains(-3.0, 1e-9))
 print("smallest line eigenvalue:", round(spec.smallest, 9))

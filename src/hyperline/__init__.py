@@ -7,11 +7,9 @@ general power hypergraphs.
 """
 
 from .core import (
-    DegreeProfile,
     Hypergraph,
     Multigraph,
     Violation,
-    degree_profile,
     is_connected,
     is_uniform,
     is_valid,
@@ -39,10 +37,8 @@ from .matrices import (
 )
 from .spectra import (
     DEFAULT_TOLERANCE,
-    CertificateMinusR,
     Spectrum,
     certificate_minus_r,
-    collar_certificate_vector,
     eigenvalues_symmetric,
     power_spectrum_formula,
 )

@@ -26,13 +26,13 @@ from .core import (
 from .line import line_degree_formula, line_edge_count
 from .matrices import adjacency_matrix, gram_identity_check, signless_laplacian
 from .power import PowerParams, power_line_invariance_check
-from .spectra import (
-    DEFAULT_TOLERANCE,
-    certificate_minus_r,
-    collar_certificate_vector,
-    eigenvalues_symmetric,
+from .spectra import DEFAULT_TOLERANCE, certificate_minus_r, eigenvalues_symmetric
+from .structure import (
+    check_collar_witness,
+    collar_implies_bipartite_check,
+    is_collar,
+    regularity_report,
 )
-from .structure import collar_implies_bipartite_check, is_collar, regularity_report
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,14 @@ def run_all_checks(
                 )
             )
         else:
-            cert_k = collar_certificate_vector(h, witness)
+            # on a k-uniform host the signed indicator certifies -k exactly
+            cert_k = check_collar_witness(h, witness)
             ok = spec_line.contains(-float(uniform), tolerance)
             entries.append(
                 CheckEntry(
                     "collar-minus-k-eigenvalue",
                     ok,
-                    {"k": uniform, "certificate_entries": len(cert_k.vector)},
+                    {"k": uniform, "certificate_entries": len(cert_k)},
                     tolerance,
                 )
             )
@@ -231,8 +232,7 @@ def run_all_checks(
     entries.append(CheckEntry("spectral-radius-sandwich", ok, details, tolerance))
 
     # edge degree sums bound rho(Q), tight exactly when uniform and edge-regular
-    degs = h.degrees
-    sums = [sum(degs[v] for v in e) for e in h.edges]
+    sums = regularity.edge_degree_sums
     lower, upper = min(sums) - (r - s), max(sums) + (r - s)
     homogeneous = r == s and regularity.edge_regular is not None
     ok = lower - tolerance <= rho_q <= upper + tolerance

@@ -12,13 +12,7 @@ import json
 import sys
 
 from .checks import run_all_checks
-from .core import (
-    degree_profile,
-    is_connected,
-    is_uniform,
-    rank_corank,
-    zagreb_index,
-)
+from .core import is_connected, is_uniform, rank_corank, zagreb_index
 from .generate import generate_hypergraph
 from .io import emit, parse_path
 from .matrices import adjacency_matrix, signless_laplacian
@@ -98,18 +92,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_info(args) -> int:
     h = parse_path(args.file)
-    prof = degree_profile(h)
+    # first: it refuses a file with no edges, which has no vertices to average
     r, s = rank_corank(h)
+    degs = h.degrees
     reg = regularity_report(h)
     data = {
         "n": h.n,
         "m": h.m,
         "rank": r,
         "corank": s,
-        "degrees": list(prof.degrees),
-        "max_degree": prof.max,
-        "min_degree": prof.min,
-        "average_degree": prof.average,
+        "degrees": list(degs),
+        "max_degree": max(degs),
+        "min_degree": min(degs),
+        "average_degree": sum(degs) / h.n,
         "zagreb_index": zagreb_index(h),
         "connected": is_connected(h),
         "uniform": is_uniform(h),

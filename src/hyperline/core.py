@@ -161,14 +161,6 @@ class Multigraph:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    max: int
-    min: int
-    average: float
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed structural rule; warnings do not invalidate the hypergraph."""
 
@@ -247,14 +239,6 @@ def is_valid(h: Hypergraph) -> bool:
     return all(v.severity != "error" for v in validate(h))
 
 
-def degree_profile(h: Hypergraph) -> DegreeProfile:
-    """Per-vertex edge-membership counts with max/min/average statistics."""
-    if h.n == 0:
-        raise ValueError("hypergraph has no vertices")
-    degs = h.degrees
-    return DegreeProfile(degs, max(degs), min(degs), sum(degs) / h.n)
-
-
 def rank_corank(h: Hypergraph) -> tuple[int, int]:
     """(largest, smallest) edge cardinality."""
     if h.m == 0:
@@ -309,4 +293,4 @@ def multigraph_is_connected(g: Multigraph) -> bool:
 
 def zagreb_index(h: Hypergraph) -> int:
     """Sum of squared vertex degrees."""
-    return sum(d * d for d in degree_profile(h).degrees)
+    return sum(d * d for d in h.degrees)

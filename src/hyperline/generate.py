@@ -9,8 +9,9 @@ would equal or nest in an earlier one is redrawn; it is found by counting,
 over the per-vertex lists of placed edges, the vertices the new edge shares
 with each of them, so no pair of edges is scanned. A draw whose edge finds
 no simple placement in `EDGE_TRIES` redraws costs one attempt; a finished
-draw is accepted by `is_valid`, the one definition of "simple".
-Deterministic for a fixed seed.
+draw is accepted by `is_valid`, the one definition of "simple". After
+`MAX_ATTEMPTS` draws it gives up with `ValueError`. Deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .core import Hypergraph, is_valid
 # redraws of one edge before its draw is abandoned; bounds the time spent
 # on sizes that admit no simple hypergraph
 EDGE_TRIES = 10
+# draws before a size that admits a simple hypergraph is given up on
+MAX_ATTEMPTS = 5000
 
 
 def _sizes(rng: random.Random, n: int, m: int, top: int) -> list[int]:
@@ -74,13 +77,7 @@ def _connected_edges(
     return edges
 
 
-def generate_hypergraph(
-    n: int,
-    m: int,
-    max_card: int,
-    seed: int,
-    max_attempts: int = 5000,
-) -> Hypergraph:
+def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if m < 1:
@@ -95,7 +92,7 @@ def generate_hypergraph(
         )
     rng = random.Random(seed)
     labels = [str(i + 1) for i in range(n)]
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         edges = _connected_edges(rng, n, _sizes(rng, n, m, top))
         if edges is None:
             continue
@@ -104,5 +101,5 @@ def generate_hypergraph(
             return h
     raise ValueError(
         f"could not generate a simple connected hypergraph with "
-        f"n={n}, m={m}, max_card={max_card} after {max_attempts} attempts"
+        f"n={n}, m={m}, max_card={max_card} after {MAX_ATTEMPTS} attempts"
     )

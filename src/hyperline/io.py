@@ -73,10 +73,14 @@ def parse_path(path: str | os.PathLike) -> Hypergraph:
 
 def emit(h: Hypergraph) -> str:
     """Serialize back to the edge-per-line format, which has no way to
-    write a vertex that lies in no edge."""
+    write a vertex that lies in no edge, nor two vertices with one label."""
+    seen = set()
     for label in h.labels:
         if not label or label.split() != [label] or label.startswith("#"):
             raise ValueError(f"label {label!r} cannot be written to the text format")
+        if label in seen:
+            raise ValueError(f"repeated label {label!r} cannot be written to the text format")
+        seen.add(label)
     if 0 in h.degrees:
         label = h.labels[h.degrees.index(0)]
         raise ValueError(f"isolated vertex {label!r} cannot be written to the text format")

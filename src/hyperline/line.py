@@ -10,7 +10,7 @@ line-preserving and makes every multigraph realizable as a line multigraph.
 
 from __future__ import annotations
 
-from .core import Hypergraph, Multigraph, degree_profile, rank_corank, zagreb_index
+from .core import Hypergraph, Multigraph, rank_corank, zagreb_index
 
 
 def line_degree_formula(h: Hypergraph, i: int) -> int:
@@ -23,8 +23,7 @@ def line_degree_formula(h: Hypergraph, i: int) -> int:
 
 def line_edge_count(h: Hypergraph) -> int:
     """Total line multiplicity, computed exactly from degrees alone."""
-    degs = degree_profile(h).degrees
-    twice = zagreb_index(h) - sum(degs)
+    twice = zagreb_index(h) - sum(h.degrees)
     # sum d(d-1) over vertices is always even
     if twice % 2:
         raise AssertionError(f"odd degree sum {twice} for the line edge count")
@@ -68,18 +67,23 @@ def reduce_core(h: Hypergraph) -> Hypergraph:
 def uniformize(h: Hypergraph) -> Hypergraph:
     """Pad every short edge with fresh degree-one vertices up to the rank.
 
-    Padding labels are "_pad_<edge index>_<counter>" so they cannot collide
-    with user labels; the line multigraph is unchanged and the result is
-    rank-uniform.
+    Padding labels are "_pad_<edge index>_<counter>", each with the next
+    counter whose label is not in use yet, so they cannot collide with user
+    labels; the line multigraph is unchanged and the result is rank-uniform.
     """
     r, _ = rank_corank(h)
     labels = list(h.labels)
+    used = set(labels)
     edges = []
     for i, e in enumerate(h.edges):
         e = list(e)
-        for c in range(r - len(e)):
+        c = 0
+        for _ in range(r - len(e)):
+            while f"_pad_{i}_{c}" in used:
+                c += 1
             e.append(len(labels))
             labels.append(f"_pad_{i}_{c}")
+            used.add(labels[-1])
         edges.append(e)
     return Hypergraph(labels, edges)
 

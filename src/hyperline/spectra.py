@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, is_uniform, rank_corank
+from .core import Hypergraph, rank_corank
 from .matrices import (
     exact_kernel,
     exact_rank,
@@ -24,7 +24,6 @@ from .matrices import (
     signless_laplacian,
 )
 from .power import PowerParams
-from .structure import CollarWitness, check_collar_witness
 
 DEFAULT_TOLERANCE = 1e-9
 # eigenvalues closer than this multiple of the tolerance get grouped
@@ -70,16 +69,6 @@ class Spectrum:
         }
 
 
-@dataclass(frozen=True)
-class CertificateMinusR:
-    """Exact witness that -r is an eigenvalue of the line adjacency matrix:
-    a non-zero integer vector in the incidence kernel, supported on the
-    rank-sized edges."""
-
-    vector: tuple[int, ...]
-    r: int
-
-
 def eigenvalues_symmetric(
     matrix: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> Spectrum:
@@ -98,13 +87,14 @@ def eigenvalues_symmetric(
     return Spectrum(tuple(float(v) for v in vals[::-1]), tolerance)
 
 
-def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
+def certificate_minus_r(h: Hypergraph) -> tuple[int, ...] | None:
     """Exact kernel certificate for -r, or None when -r is not an eigenvalue.
 
     The incidence kernel is restricted to the columns of rank-sized edges;
     a non-trivial element there is exactly equivalent to -r being an
-    eigenvalue of the line adjacency matrix. The returned vector has been
-    checked to lie in that restricted kernel; `AssertionError` otherwise.
+    eigenvalue of the line adjacency matrix. The returned integer vector,
+    one entry per edge, has been checked to lie in that restricted kernel;
+    `AssertionError` otherwise.
     """
     r, _ = rank_corank(h)
     b = incidence_matrix(h)
@@ -115,23 +105,7 @@ def certificate_minus_r(h: Hypergraph) -> CertificateMinusR | None:
     vec = basis[0]
     if any(incidence_product(h, vec)) or any(vec[i] for i in small):
         raise AssertionError("-r certificate failed exact verification")
-    return CertificateMinusR(vec, r)
-
-
-def collar_certificate_vector(
-    h: Hypergraph, witness: CollarWitness
-) -> CertificateMinusR:
-    """Signed collar indicator as an exact -k eigenvalue certificate.
-
-    `check_collar_witness` returns the indicator only once `B x = 0` holds
-    exactly. Requires a k-uniform host so that the collar edges are
-    rank-sized and the kernel element certifies the eigenvalue -k.
-    """
-    vec = check_collar_witness(h, witness)
-    k = is_uniform(h)
-    if k is None:
-        raise ValueError("host hypergraph is not uniform")
-    return CertificateMinusR(vec, k)
+    return vec
 
 
 def power_spectrum_formula(

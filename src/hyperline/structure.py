@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .core import Hypergraph, degree_profile, is_uniform
+from .core import Hypergraph, is_uniform
 from .matrices import exact_kernel, incidence_matrix, incidence_product
 
 
@@ -50,6 +50,7 @@ class RegularityReport:
     edge_regular: int | None
     skew_edge_regular: int | None
     linear: bool
+    edge_degree_sums: tuple[int, ...]
 
 
 def regularity_report(h: Hypergraph) -> RegularityReport:
@@ -58,18 +59,19 @@ def regularity_report(h: Hypergraph) -> RegularityReport:
     regular: the common vertex degree d, if any. edge_regular: the common
     value of sum_{v in e} d(v). skew_edge_regular: the common value of
     sum_{v in e} (d(v) - 1), which discounts degree-one padding. linear:
-    no two edges share more than one vertex.
+    no two edges share more than one vertex. edge_degree_sums: each edge's
+    sum_{v in e} d(v), in edge order.
     """
-    degs = degree_profile(h).degrees
+    degs = h.degrees
     regular = degs[0] if len(set(degs)) == 1 else None
-    sums = [sum(degs[v] for v in e) for e in h.edges]
+    sums = tuple(sum(degs[v] for v in e) for e in h.edges)
     skews = [s - len(e) for s, e in zip(sums, h.edges)]
     edge_regular = sums[0] if sums and len(set(sums)) == 1 else None
     skew = skews[0] if skews and len(set(skews)) == 1 else None
     # off the diagonal of Q = B B^T: no vertex pair lies in two edges
     pairs = [p for e in h.edges for p in combinations(e, 2)]
     linear = len(pairs) == len(set(pairs))
-    return RegularityReport(regular, edge_regular, skew, linear)
+    return RegularityReport(regular, edge_regular, skew, linear, sums)
 
 
 def _two_color(
@@ -112,7 +114,7 @@ def is_collar(h: Hypergraph) -> CollarWitness | None:
     """
     if h.m == 0 or h.n == 0:
         return None
-    if any(d != 2 for d in degree_profile(h).degrees):
+    if any(d != 2 for d in h.degrees):
         return None
     chosen = list(range(h.m))
     coloring, connected = _two_color(h, chosen)

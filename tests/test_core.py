@@ -8,7 +8,6 @@ from hyperline import (
     Hypergraph,
     Multigraph,
     certificate_minus_r,
-    degree_profile,
     find_collar_subhypergraph,
     incidence_matrix,
     is_connected,
@@ -119,19 +118,16 @@ def test_validate_nested_pairs_match_all_pairs_oracle(case):
     assert got == before + nested + after
 
 
-def test_degree_profile_trio(trio):
-    prof = degree_profile(trio)
-    assert prof.degrees == (2, 1, 2, 2, 2)
-    assert (prof.max, prof.min) == (2, 1)
-    assert prof.average == pytest.approx(9 / 5)
+def test_degrees_trio(trio):
+    assert trio.degrees == (2, 1, 2, 2, 2)
 
 
-def test_degree_profile_single_edge():
-    assert degree_profile(helpers.single_edge(2)).degrees == (1, 1)
+def test_degrees_single_edge():
+    assert helpers.single_edge(2).degrees == (1, 1)
 
 
-def test_degree_profile_cycle_regular():
-    assert set(degree_profile(helpers.cycle(4)).degrees) == {2}
+def test_degrees_cycle_regular():
+    assert set(helpers.cycle(4).degrees) == {2}
 
 
 def test_rank_corank_trio(trio):
@@ -242,4 +238,4 @@ def test_handshake(g):
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_degree_sum_equals_cardinality_sum(h):
-    assert sum(degree_profile(h).degrees) == sum(len(e) for e in h.edges)
+    assert sum(h.degrees) == sum(len(e) for e in h.edges)

@@ -12,6 +12,7 @@ from hyperline import (
     is_valid,
     validate,
 )
+from hyperline import generate
 
 
 def test_deterministic_per_seed():
@@ -32,15 +33,16 @@ def test_single_edge_case():
     assert h.edges == ((0, 1),)
 
 
-def test_infeasible_raises():
-    with pytest.raises(ValueError, match="after"):
-        generate_hypergraph(3, 7, 3, seed=0, max_attempts=200)
+def test_infeasible_raises(monkeypatch):
+    monkeypatch.setattr(generate, "MAX_ATTEMPTS", 200)
+    with pytest.raises(ValueError, match="after 200 attempts"):
+        generate_hypergraph(3, 7, 3, seed=0)
 
 
 def test_sizes_that_cannot_connect_are_refused_at_once():
     # connected, 10 edges of at most 4 vertices cover at most 1 + 10 * 3 < 60
     with pytest.raises(ValueError, match=r"m \* \(min\(max_card, n\) - 1\) = 30 < n - 1 = 59"):
-        generate_hypergraph(60, 10, 4, seed=0, max_attempts=1)
+        generate_hypergraph(60, 10, 4, seed=0)
     with pytest.raises(ValueError, match=r"= 3 < n - 1 = 4"):
         generate_hypergraph(5, 1, 4, seed=0)
     # at the bound itself a connected hypergraph exists: two triples sharing a vertex

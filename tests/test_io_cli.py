@@ -85,6 +85,14 @@ def test_emit_rejects_isolated_vertices():
         emit(Hypergraph(["a", "b", "c"], [[0, 1]]))
 
 
+def test_emit_rejects_repeated_labels():
+    from hyperline import Hypergraph
+
+    # written out, the two "b" vertices would parse back as one
+    with pytest.raises(ValueError, match="repeated label 'b'"):
+        emit(Hypergraph(["a", "b", "c", "b"], [[0, 1], [2, 3]]))
+
+
 @settings(deadline=None, max_examples=50)
 @given(strategies.hypergraphs())
 def test_round_trip_random(h):
@@ -105,8 +113,20 @@ def test_cli_info_json(tmp_path, capsys):
     assert main(["info", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["n"] == 5 and data["m"] == 3
+    assert data["degrees"] == [2, 1, 2, 2, 2]
+    assert (data["max_degree"], data["min_degree"]) == (2, 1)
+    assert data["average_degree"] == pytest.approx(9 / 5)
     assert data["zagreb_index"] == 17
     assert data["collar"] is False
+
+
+def test_cli_info_empty_file(tmp_path, capsys):
+    # the same message as `line`, `check`, `spectrum` and `power` print
+    path = write(tmp_path, "empty.hg", "")
+    assert main(["info", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no hyperedges\n"
 
 
 def test_cli_info_collar_and_disconnected(tmp_path, capsys):

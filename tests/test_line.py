@@ -4,18 +4,18 @@ from hypothesis import assume, given, settings, strategies as st
 from hyperline import (
     Hypergraph,
     Multigraph,
-    degree_profile,
+    emit,
     from_multigraph,
     is_connected,
     line_degree_formula,
     line_edge_count,
     multigraph_is_connected,
+    parse_text,
     rank_corank,
     reduce_core,
     scale_multigraph,
     uniformize,
     is_uniform,
-    validate,
 )
 from hyperline.structure import regularity_report
 
@@ -93,6 +93,16 @@ def test_uniformize_pads_short_edges():
     u = uniformize(h)
     assert u.edge_label_sets() == (("1", "2", "_pad_0_0"), ("2", "3", "4"))
     assert is_uniform(u) == 3
+
+
+def test_uniformize_skips_padding_labels_in_use():
+    # "_pad_0_0" is taken by a vertex of edge 1, so edge 0 pads with "_pad_0_1"
+    h = Hypergraph(["a", "b", "c", "_pad_0_0"], [[0, 1], [1, 2, 3]])
+    u = uniformize(h)
+    assert u.edge_label_sets() == (("a", "b", "_pad_0_1"), ("b", "c", "_pad_0_0"))
+    assert len(set(u.labels)) == u.n
+    assert u.line == h.line
+    assert parse_text(emit(u)).line == h.line
 
 
 def test_uniformize_identity_on_uniform(trio):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hyperline import (
     Hypergraph,
     PowerParams,
-    degree_profile,
     is_uniform,
     power_hypergraph,
     power_line_invariance_check,
@@ -25,7 +24,7 @@ def test_power_p4_t2_k5():
     assert is_uniform(powered) == 5
     assert validate(powered) == []
     # clones keep their source degree, padding vertices have degree one
-    degs = dict(zip(powered.labels, degree_profile(powered).degrees))
+    degs = dict(zip(powered.labels, powered.degrees))
     assert degs["0#1"] == degs["0#2"] == 1
     assert degs["1#1"] == degs["1#2"] == 2
     assert degs["_pow_0_0"] == 1
@@ -102,9 +101,9 @@ def test_power_line_invariance_random(h):
 @given(strategies.hypergraphs(max_n=5, max_m=4))
 def test_power_degrees(h):
     r, _ = rank_corank(h)
-    degs = degree_profile(h).degrees
+    degs = h.degrees
     powered = power_hypergraph(h, PowerParams(2, 2 * r + 1))
-    pdegs = dict(zip(powered.labels, degree_profile(powered).degrees))
+    pdegs = dict(zip(powered.labels, powered.degrees))
     for v in range(h.n):
         for i in (1, 2):
             assert pdegs[f"{h.labels[v]}#{i}"] == degs[v]

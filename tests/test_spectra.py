@@ -10,7 +10,7 @@ from hyperline import (
     Hypergraph,
     adjacency_matrix,
     certificate_minus_r,
-    collar_certificate_vector,
+    check_collar_witness,
     eigenvalues_symmetric,
     is_collar,
     is_uniform,
@@ -134,9 +134,7 @@ def test_lower_bound_examples(trio):
 
 
 def test_certificate_examples(trio):
-    cert = certificate_minus_r(helpers.cycle(4))
-    assert cert is not None and cert.r == 2
-    assert list(cert.vector) == [1, -1, 1, -1]
+    assert certificate_minus_r(helpers.cycle(4)) == (1, -1, 1, -1)
     assert certificate_minus_r(helpers.cycle(3)) is None
     assert certificate_minus_r(trio) is None
 
@@ -145,10 +143,11 @@ def test_certificate_zero_on_small_edges(collar3):
     # embed the collar in a non-uniform host by adding a pendant 2-edge
     h, _ = collar3
     host = Hypergraph(list(h.labels) + ["x"], list(h.edges) + [(0, h.n)])
+    assert rank_corank(host) == (3, 2)
     cert = certificate_minus_r(host)
-    assert cert is not None and cert.r == 3
-    assert cert.vector[host.m - 1] == 0
-    assert not (dense_incidence(host) @ cert.vector).any()
+    assert cert is not None and len(cert) == host.m
+    assert cert[host.m - 1] == 0
+    assert not (dense_incidence(host) @ cert).any()
     spec = eigenvalues_symmetric(line_adjacency(host))
     assert spec.contains(-3.0, 1e-7)
 
@@ -166,40 +165,31 @@ def test_collar_certificate_c4_c6():
     for n in (4, 6):
         h = helpers.cycle(n)
         witness = is_collar(h)
-        cert = collar_certificate_vector(h, witness)
+        cert = check_collar_witness(h, witness)
         expected = [1 if i % 2 == 0 else -1 for i in range(n)]
-        assert list(cert.vector) == expected
-        assert cert.r == 2
+        assert list(cert) == expected
+        assert is_uniform(h) == 2
 
 
 def test_collar_certificate_collar3(collar3):
     h, coloring = collar3
     witness = is_collar(h)
-    cert = collar_certificate_vector(h, witness)
-    assert cert.r == 3
-    signs = list(cert.vector)
+    cert = check_collar_witness(h, witness)
+    assert is_uniform(h) == 3
+    signs = list(cert)
     assert all(s in (1, -1) for s in signs)
     assert signs == [1 if coloring[i] == 1 else -1 for i in range(h.m)]
-    assert not (dense_incidence(h) @ cert.vector).any()
+    assert not (dense_incidence(h) @ cert).any()
     assert eigenvalues_symmetric(line_adjacency(h)).contains(-3.0, 1e-7)
 
 
 def test_collar_certificate_rejects_bad_witness():
+    # bad colorings and uncovered vertices: test_check_collar_witness_errors
     h = helpers.cycle(4)
-    with pytest.raises(ValueError, match="coloring invalid"):
-        collar_certificate_vector(
-            h, CollarWitness((0, 1, 2, 3), {0: 1, 1: 1, 2: 2, 3: 2})
-        )
-    with pytest.raises(ValueError, match="2-regular"):
-        collar_certificate_vector(h, CollarWitness((0, 1), {0: 1, 1: 2}))
-
-
-def test_collar_certificate_requires_uniform_host(collar3):
-    h, coloring = collar3
-    host = Hypergraph(list(h.labels) + ["x"], list(h.edges) + [(0, h.n)])
-    witness = CollarWitness(tuple(range(h.m)), coloring)
-    with pytest.raises(ValueError, match="not uniform"):
-        collar_certificate_vector(host, witness)
+    with pytest.raises(ValueError, match="empty collar"):
+        check_collar_witness(h, CollarWitness((), {}))
+    with pytest.raises(IndexError, match="out of range"):
+        check_collar_witness(h, CollarWitness((0, 4), {0: 1, 4: 2}))
 
 
 def test_sandwich_trio(trio):
