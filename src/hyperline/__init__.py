@@ -1,7 +1,8 @@
 """hyperline: line multigraphs of general hypergraphs.
 
 Exact incidence algebra (numpy integer matrices, integer kernels by
-fraction-free elimination), floating spectra from one symmetric
+elimination modulo a prime, certified exactly, with fraction-free
+elimination as the fallback), floating spectra from one symmetric
 eigensolver, collar recognition and exact eigenvalue certificates, and
 general power hypergraphs.
 """

@@ -3,11 +3,20 @@ and exact kernel/rank computation.
 
 A matrix is a 2-D numpy integer array: `int64` from the builders, whose
 entries are counts of at most m, or `object` for entries beyond int64.
-Every routine here is exact. Rank and kernel read `matrix.tolist()` and
-run fraction-free Gauss-Jordan elimination (Bareiss) on Python integers,
-forming no `Fraction`; vectors, kernel vectors included, are plain
-`tuple[int, ...]`. Floating point appears only downstream, in the
-eigensolver.
+Every routine here is exact, and the exact routines refuse any other
+dtype. Vectors, kernel vectors included, are plain `tuple[int, ...]`.
+Floating point appears only downstream, in the eigensolver.
+
+- `exact_kernel` runs Gauss-Jordan elimination modulo the prime
+  p = 2147483629 on an `int64` array, reads each kernel vector back as
+  integers or, by rational reconstruction, as fractions with numerator
+  and denominator within `isqrt(p // 2)`, and checks `B X = 0` with one
+  exact product. A vector that passes proves its free column free over
+  the rationals as well, so the basis is the one exact elimination gives.
+  When the check cannot pass (an unlucky prime, an entry past that bound,
+  or a matrix beyond `int64`), fraction-free Gauss-Jordan elimination
+  (Bareiss) on Python integers computes the kernel instead. `exact_rank` is the
+  column count less the kernel dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
@@ -23,13 +32,16 @@ eigensolver.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import Hypergraph, Multigraph
 from .line import line_edge_count
+
+# a prime below 2**31: a product of two residues, (p - 1)**2, fits in int64
+_PRIME = 2147483629
 
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
@@ -114,8 +126,156 @@ def _row_reduce(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
+def _kernel_bareiss(rows: list[list[int]], n_cols: int) -> list[list[int]]:
+    """Integer kernel basis by `_row_reduce`, one vector per free column."""
+    pivots = _row_reduce(rows)
+    # every pivot row holds the same pivot value d, so d times the rational
+    # basis vector for free column f is integral
+    d = rows[0][pivots[0]] if pivots else 1
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(n_cols):
+        if f in pivot_set:
+            continue
+        vec = [0] * n_cols
+        vec[f] = d
+        for r_idx, c in enumerate(pivots):
+            vec[c] = -rows[r_idx][f]
+        vectors.append(vec)
+    return vectors
+
+
+class _Uncertified(Exception):
+    """The mod-p kernel failed its certificate; the message says why."""
+
+
+def _exact_entries(matrix: np.ndarray) -> np.ndarray:
+    """`matrix` as `int64`, or as an `object` array of Python ints when an
+    entry lies beyond `int64`.
+
+    Integer and bool dtypes are exact, and so are `object` arrays of
+    integers; any other entry raises `ValueError`, since a float cast to an
+    integer would change the matrix.
+    """
+    if np.can_cast(matrix.dtype, np.int64):
+        return matrix.astype(np.int64, copy=False)
+    if matrix.dtype.kind != "u" and not (
+        matrix.dtype == object
+        and all(isinstance(x, (int, np.integer)) for x in matrix.flat)
+    ):
+        raise ValueError(f"exact routines need integer entries, not {matrix.dtype}")
+    ints = [int(x) for x in matrix.flat]
+    wide = any(not -(2**63) <= x < 2**63 for x in ints)
+    return np.array(ints, dtype=object if wide else np.int64).reshape(matrix.shape)
+
+
+def _gauss_jordan_mod_p(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of `a` modulo `_PRIME`, in place.
+
+    `a` holds residues in [0, p). Rows are not swapped: returns the pivot
+    columns and the row that holds each pivot. That row ends with 1 at its
+    pivot, 0 at every other pivot column and before its pivot.
+    """
+    p = _PRIME
+    n_rows, n_cols = a.shape
+    unused = np.ones(n_rows, dtype=bool)
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    for c in range(n_cols):
+        if len(pivots) == n_rows:
+            break
+        nz = a[:, c].nonzero()[0]
+        candidates = nz[unused[nz]]
+        if not candidates.size:
+            continue
+        r = candidates[0]
+        row = a[r, c:]
+        v = int(row[0])
+        if v != 1:
+            row *= pow(v, -1, p)
+            row %= p
+        # every row is zero before column c once it is reduced, and (p-1)**2
+        # fits in int64
+        others = nz[nz != r]
+        if others.size:
+            block = a[others, c:]
+            block -= block[:, :1] * row
+            block %= p
+            a[others, c:] = block
+        unused[r] = False
+        pivots.append(c)
+        pivot_rows.append(int(r))
+    return pivots, pivot_rows
+
+
+def _rational(u: int, bound: int) -> tuple[int, int]:
+    """`n / d` congruent to `u` modulo `_PRIME`, `|n|, |d| <= bound`, `d > 0`,
+    by the extended Euclidean algorithm (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = _PRIME, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        raise _Uncertified("reconstruction bound")
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_mod_p(a: np.ndarray) -> list[list[int]]:
+    """Integer kernel basis of `a` from elimination modulo `_PRIME`, one
+    vector per free column, certified by an exact product.
+
+    The vector of free column f is 1 at f and 0 at the other free columns.
+    Each one that passes `a x = 0` shows column f lies in the span of the
+    pivot columns before it, over the rationals too, so f is free there as
+    well; rank mod p never exceeds the rational rank, so the two pivot sets
+    agree and each vector is the unique one with those free coordinates,
+    the one Bareiss elimination gives. Raises `_Uncertified` when `a` has
+    entries beyond `int64`, when an entry does not reconstruct within
+    `isqrt(p // 2)`, or when a vector fails the product.
+    """
+    if a.dtype == object:
+        raise _Uncertified("entries beyond int64")
+    p = _PRIME
+    bound = isqrt(p // 2)
+    n_rows, n_cols = a.shape
+    reduced = a % p
+    pivots, pivot_rows = _gauss_jordan_mod_p(reduced)
+    pivot_set = set(pivots)
+    free = [c for c in range(n_cols) if c not in pivot_set]
+    if not free:
+        return []
+    x = np.zeros((n_cols, len(free)), dtype=np.int64)
+    x[pivots] = -reduced[np.ix_(pivot_rows, free)] % p
+    x[free, range(len(free))] = 1
+    x[x > p // 2] -= p  # symmetric residues
+    widest = int(np.abs(x).max())
+    reconstructed = widest > bound
+    if not reconstructed:
+        vectors = x.T.tolist()
+    else:
+        vectors = []
+        for col in x.T.tolist():
+            fractions = [
+                (u, 1) if abs(u) <= bound else _rational(u % p, bound) for u in col
+            ]
+            scale = lcm(*(d for _, d in fractions))
+            vectors.append([n * (scale // d) for n, d in fractions])
+        widest = max(abs(v) for vec in vectors for v in vec)
+    if n_rows:
+        entry = max(int(a.max()), -int(a.min()))
+        dtype = np.int64 if entry * widest * n_cols < 2**62 else object
+        if (a.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T).any():
+            # a prime that divides a pivot drops the rank; a vector read
+            # back by reconstruction may also be wrong past the bound
+            raise _Uncertified(
+                "reconstruction bound" if reconstructed else "rank dropped mod p"
+            )
+    return vectors
+
+
 def exact_rank(matrix: np.ndarray) -> int:
-    return len(_row_reduce(matrix.tolist()))
+    """Rank over the rationals: the column count less the kernel dimension."""
+    return matrix.shape[1] - len(exact_kernel(matrix))
 
 
 def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
@@ -135,29 +295,42 @@ def exact_kernel(
     """Integer basis of the null space, zero on the fixed columns.
 
     The kernel is taken over the columns outside `fixed_zero_columns` and
-    re-embedded with zeros there. Basis vectors are normalized to content-1
-    integer vectors with positive leading entry, ordered by free column,
-    so output is reproducible.
+    re-embedded with zeros there; a fixed column out of range raises
+    `IndexError`, and a matrix with non-integer entries `ValueError`.
+    Basis vectors are normalized to content-1 integer vectors with positive
+    leading entry, ordered by free column, so output is reproducible.
+
+    The basis comes from elimination modulo a prime, certified by an exact
+    product; when the certificate fails, Bareiss elimination on Python
+    integers computes it instead, and a debug record on the
+    `hyperline.matrices` logger gives the shape and the reason.
     """
+    exact = _exact_entries(matrix)
     n_cols = matrix.shape[1]
     fixed = set(fixed_zero_columns)
+    if any(not 0 <= c < n_cols for c in fixed):
+        raise IndexError(f"fixed column out of range for {n_cols} columns")
     active = [c for c in range(n_cols) if c not in fixed]
     if not active:
         return []
-    rows = matrix[:, active].tolist()
-    pivots = _row_reduce(rows)
-    # every pivot row holds the same pivot value d, so d times the rational
-    # basis vector for free column f is integral
-    d = rows[0][pivots[0]] if pivots else 1
-    pivot_set = set(pivots)
+    sub = exact[:, active] if fixed else exact
+    try:
+        vectors = _kernel_mod_p(sub)
+    except _Uncertified as reason:
+        # imported here: `logging` would add about 4% to `import hyperline.cli`
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "exact kernel: %dx%d matrix, Bareiss fallback: %s", *sub.shape, reason
+        )
+        vectors = _kernel_bareiss(sub.tolist(), sub.shape[1])
+    if not fixed:
+        return [_normalize_integer(vec) for vec in vectors]
     basis: list[tuple[int, ...]] = []
-    for f in range(len(active)):
-        if f in pivot_set:
-            continue
+    for vec in vectors:
         wide = [0] * n_cols
-        wide[active[f]] = d
-        for r_idx, p in enumerate(pivots):
-            wide[active[p]] = -rows[r_idx][f]
+        for c, v in zip(active, vec):
+            wide[c] = v
         basis.append(_normalize_integer(wide))
     return basis
 

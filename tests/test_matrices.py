@@ -1,13 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperline.matrices as matrices
 from hyperline import (
     Hypergraph,
     adjacency_matrix,
     eigenvalues_symmetric,
     exact_kernel,
     exact_rank,
+    generate_hypergraph,
     gram_identity_check,
     incidence_matrix,
     incidence_product,
@@ -229,6 +233,127 @@ def test_bareiss_matches_fraction_rref_without_rows():
     assert exact_rank(mat) == 0
     got = [list(v) for v in exact_kernel(mat, {1})]
     assert got == kernel_oracle([], 3, {1}) == [[1, 0, 0], [0, 0, 1]]
+
+
+def fallback_reasons(caplog) -> list[str]:
+    return [
+        r.getMessage().rsplit(": ", 1)[1]
+        for r in caplog.records
+        if r.name == "hyperline.matrices"
+    ]
+
+
+def test_kernel_falls_back_to_bareiss_when_the_prime_drops_the_rank(
+    monkeypatch, caplog
+):
+    monkeypatch.setattr(matrices, "_PRIME", 2)
+    b = incidence_matrix(helpers.cycle(3))
+    # mod 2 the triangle's incidence matrix has rank 2, and the kernel vector
+    # read back, (1, 1, 1), fails B x = 0 over the integers
+    assert len(matrices._gauss_jordan_mod_p(b % 2)[0]) == 2
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        assert exact_kernel(b) == []
+        assert exact_rank(b) == 3
+    assert fallback_reasons(caplog) == ["rank dropped mod p"] * 2
+    assert "3x3 matrix" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize(
+    "data, dtype, reason",
+    [
+        # entries near 10**24: past int64, so no residue array is built
+        (
+            [[10**24, 2 * 10**24 + 1, 3, 0], [2 * 10**24, 4 * 10**24 + 2, 6, 0],
+             [1, 1, 1, 1]],
+            object,
+            "entries beyond int64",
+        ),
+        # the kernel vector (10**6, -1) lies past the reconstruction bound
+        ([[1, 10**6]], np.int64, "reconstruction bound"),
+        ([[40000, 39999, 7]], np.int64, "reconstruction bound"),
+    ],
+)
+def test_wide_entries_fall_back_to_bareiss(caplog, data, dtype, reason):
+    mat = np.array(data, dtype=dtype)
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        got = [list(v) for v in exact_kernel(mat)]
+        rank = exact_rank(mat)
+    assert got == kernel_oracle(data, len(data[0]))
+    assert rank == rank_oracle(data)
+    assert fallback_reasons(caplog) == [reason] * 2
+
+
+def test_certified_route_runs_no_bareiss(monkeypatch, caplog):
+    def refuse(rows):
+        raise RuntimeError("Bareiss elimination ran")
+
+    monkeypatch.setattr(matrices, "_row_reduce", refuse)
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        assert exact_kernel(incidence_matrix(helpers.cycle(4))) == [(1, -1, 1, -1)]
+        # x0 = -2/3 x2: read back by rational reconstruction
+        assert exact_kernel(np.array([[3, 0, 2], [0, 1, 0]])) == [(2, 0, -3)]
+        assert exact_rank(incidence_matrix(helpers.circulant(60, 4))) == 57
+        assert exact_rank(np.zeros((0, 3), dtype=np.int64)) == 0
+    assert not fallback_reasons(caplog)
+
+
+@pytest.mark.parametrize(
+    "h, dim",
+    [
+        (helpers.circulant(60, 4), 3),
+        (helpers.circulant(100, 4), 3),
+        (helpers.complete_uniform(9, 3), 75),
+        (generate_hypergraph(60, 40, 5, 0), 0),
+        (generate_hypergraph(20, 26, 3, 1), 6),
+        (generate_hypergraph(20, 30, 3, 0), 10),
+        (generate_hypergraph(60, 70, 3, 1), 14),
+    ],
+    ids=["circulant60_4", "circulant100_4", "complete9_3", "gen60_40", "gen20_26",
+         "gen20_30", "gen60_70"],
+)
+def test_kernel_matches_fraction_rref_at_benchmark_scale(h, dim):
+    b = incidence_matrix(h)
+    r = max(len(e) for e in h.edges)
+    small = {i for i, e in enumerate(h.edges) if len(e) < r}
+    assert len(exact_kernel(b)) == dim
+    assert exact_rank(b) == h.m - dim
+    for fixed in (set(), small):
+        got = [list(v) for v in exact_kernel(b, fixed)]
+        assert got == kernel_oracle(b.tolist(), h.m, fixed)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[0.7, 0.1], [0.2, 0.3]]),
+        np.array([[1, 0.5]], dtype=object),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+    ],
+)
+def test_exact_routines_refuse_non_integer_entries(mat):
+    with pytest.raises(ValueError, match="integer entries"):
+        exact_rank(mat)
+    with pytest.raises(ValueError, match="integer entries"):
+        exact_kernel(mat)
+
+
+def test_exact_routines_accept_bool_and_integer_object_arrays():
+    assert exact_rank(np.array([[True, False], [True, True]])) == 2
+    assert exact_rank(np.array([[1, 2], [2, 4]], dtype=object)) == 1
+    # numpy scalars in an object array are read as Python ints, so the
+    # elimination cannot wrap around int64
+    data = [[3 * 10**9, 7 * 10**9, 1], [5 * 10**9, 2 * 10**9, 3]]
+    scalars = np.array([[np.int64(x) for x in row] for row in data], dtype=object)
+    assert [list(v) for v in exact_kernel(scalars)] == kernel_oracle(data, 3)
+    assert exact_kernel(np.array([[2**64 - 1, 1]], dtype=np.uint64)) == [
+        (1, -(2**64 - 1))
+    ]
+
+
+@pytest.mark.parametrize("column", [5, 3, -1])
+def test_exact_kernel_rejects_out_of_range_fixed_columns(column):
+    with pytest.raises(IndexError, match="out of range"):
+        exact_kernel(np.array([[1, -1, 0]]), {column})
 
 
 def assert_sparse_products_match_dense(h):
