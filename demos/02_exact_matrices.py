@@ -9,7 +9,6 @@ import numpy as np
 
 from hyperline import (
     Hypergraph,
-    adjacency_matrix,
     exact_kernel,
     exact_rank,
     gram_identity_check,
@@ -32,7 +31,7 @@ print("B^T B:")
 print(gram)
 print("cardinality diagonal:", gram.diagonal().tolist())
 print("line adjacency:")
-a_line = adjacency_matrix(h.line)
+a_line = h.line
 print(a_line)
 assert np.array_equal(gram, np.diag([len(e) for e in h.edges]) + a_line)
 assert gram_identity_check(h)

@@ -9,7 +9,6 @@ rank-sized edges. Collars supply such vectors in closed form.
 from pathlib import Path
 
 from hyperline import (
-    adjacency_matrix,
     certificate_minus_r,
     check_collar_witness,
     eigenvalues_symmetric,
@@ -21,7 +20,7 @@ from hyperline import (
 DATA = Path(__file__).parent / "data"
 
 h = parse_path(DATA / "trio.hg")
-a_line = adjacency_matrix(h.line)
+a_line = h.line
 
 spec = eigenvalues_symmetric(a_line)
 print("eigenvalues:", [round(x, 7) for x in spec.eigenvalues])
@@ -51,6 +50,6 @@ print("\n3-uniform collar recognized:", witness is not None)
 cert = check_collar_witness(collar, witness)
 print("collar certificate (+1 on one class, -1 on the other):")
 print(" ", list(cert))
-spec = eigenvalues_symmetric(adjacency_matrix(collar.line))
+spec = eigenvalues_symmetric(collar.line)
 print("line spectrum contains -3:", spec.contains(-3.0, 1e-9))
 print("smallest line eigenvalue:", round(spec.smallest, 9))

@@ -9,6 +9,8 @@ constructed matrix. The demo builds the construction anyway and checks.
 
 from pathlib import Path
 
+import numpy as np
+
 from hyperline import (
     PowerParams,
     eigenvalues_symmetric,
@@ -16,7 +18,6 @@ from hyperline import (
     power_hypergraph,
     power_line_invariance_check,
     power_spectrum_formula,
-    scale_multigraph,
     signless_laplacian,
 )
 
@@ -34,7 +35,7 @@ print("vertices:", powered.n, "(= t*n + m*(k - r*t) = 8 + 3)")
 
 # the line multigraph is exactly the base's, doubled
 assert power_line_invariance_check(p4, params)
-assert powered.line == scale_multigraph(p4.line, 2)
+assert np.array_equal(powered.line, 2 * p4.line)
 print("line multigraph of the power = 2 * line multigraph of the base")
 
 base_q = eigenvalues_symmetric(signless_laplacian(p4))

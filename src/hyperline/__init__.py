@@ -9,8 +9,8 @@ general power hypergraphs.
 
 from .core import (
     Hypergraph,
-    Multigraph,
     Violation,
+    incidence_matrix,
     is_connected,
     is_uniform,
     is_valid,
@@ -24,15 +24,12 @@ from .line import (
     line_degree_formula,
     line_edge_count,
     reduce_core,
-    scale_multigraph,
     uniformize,
 )
 from .matrices import (
-    adjacency_matrix,
     exact_kernel,
     exact_rank,
     gram_identity_check,
-    incidence_matrix,
     incidence_product,
     signless_laplacian,
 )

@@ -2,20 +2,24 @@
 
 Subcommands: info, line, spectrum, check, power, collar, generate.
 Exit codes: 0 on success (all checks passing), 1 when a check fails,
-2 on usage, parse or file errors.
+2 on usage, parse or file errors, 141 when the reader of stdout closes it
+early (as in `hyperline line big.hg | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+import numpy as np
 
 from .checks import run_all_checks
 from .core import is_connected, is_uniform, rank_corank, zagreb_index
 from .generate import generate_hypergraph
 from .io import emit, parse_path
-from .matrices import adjacency_matrix, signless_laplacian
+from .matrices import signless_laplacian
 from .power import PowerParams, power_hypergraph
 from .spectra import DEFAULT_TOLERANCE, eigenvalues_symmetric, power_spectrum_formula
 from .structure import (
@@ -126,23 +130,26 @@ def _cmd_info(args) -> int:
 
 def _cmd_line(args) -> int:
     h = parse_path(args.file)
-    g = h.line
+    a = h.line
+    # row-major, so in ascending (i, j) order
+    rows, cols = np.nonzero(np.triu(a))
+    pairs = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
     if args.format == "edgelist":
-        for i, j, mult in g.pairs():
+        for i, j, mult in pairs:
             print(f"{i} {j} {mult}")
     elif args.format == "matrix":
-        print(g.order, g.order)
-        for row in adjacency_matrix(g).tolist():
+        print(h.m, h.m)
+        for row in a.tolist():
             print(*row)
     else:
         data = {
-            "order": g.order,
+            "order": h.m,
             "vertices": [
                 {"index": i, "edge": list(labels)}
                 for i, labels in enumerate(h.edge_label_sets())
             ],
             "edges": [
-                {"u": i, "v": j, "multiplicity": mult} for i, j, mult in g.pairs()
+                {"u": i, "v": j, "multiplicity": mult} for i, j, mult in pairs
             ],
         }
         print(json.dumps(data, indent=2))
@@ -152,7 +159,7 @@ def _cmd_line(args) -> int:
 def _cmd_spectrum(args) -> int:
     h = parse_path(args.file)
     if args.matrix == "line-adjacency":
-        mat = adjacency_matrix(h.line)
+        mat = h.line
     else:
         mat = signless_laplacian(h)
     spec = eigenvalues_symmetric(mat, args.tol)
@@ -239,7 +246,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # inside the try, so that a reader gone before the last write is seen
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly with 128 + SIGPIPE, with
+        # stdout on /dev/null so that the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
-"""Data model for simple general hypergraphs and multigraphs.
+"""Data model for simple general hypergraphs and their line multigraphs.
 
 Vertices carry opaque string labels and are indexed 0..n-1 in label order;
 hyperedges are stored as sorted index tuples in input order. Edge order is
 significant: it fixes the row/column order of every derived matrix and the
-vertex order of line multigraphs.
+vertex order of line multigraphs. A multigraph is its adjacency matrix: a
+square, symmetric, non-negative integer array with a zero diagonal, whose
+entry (i, j) is the number of parallel edges joining i and j.
 
 Construction is deliberately permissive. Structural problems (singleton
 edges, nested edges, duplicates, stray indices) are reported as data by
@@ -13,12 +15,13 @@ inspected. All types are immutable values.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,80 +87,31 @@ class Hypergraph:
         return tuple(map(len, self.incidence))
 
     @cached_property
-    def line(self) -> Multigraph:
-        """The line multigraph: each vertex adds 1 to every pair of its
-        edges, so edges i, j are joined |e_i ∩ e_j| times; O(Σ d(v)²)."""
+    def line(self) -> np.ndarray:
+        """The line multigraph as its read-only `int64` m x m adjacency
+        matrix: entry (i, j) is |e_i ∩ e_j| off the diagonal, 0 on it.
+
+        One float product `BᵀB` of the 0/1 incidence matrix, exact because
+        every entry is a count of at most n.
+        """
         if self.m == 0:
             raise ValueError("no hyperedges")
-        pairs = Counter(p for inc in self.incidence for p in combinations(inc, 2))
-        return Multigraph(self.m, pairs)
+        bf = incidence_matrix(self).astype(float)
+        a = (bf.T @ bf).astype(np.int64)
+        np.fill_diagonal(a, 0)
+        a.flags.writeable = False
+        return a
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph: vertex count plus positive multiplicities.
+def incidence_matrix(h: Hypergraph) -> np.ndarray:
+    """0/1 vertex-by-edge membership matrix (n x m), edges in input order.
 
-    Only pairs (i, j) with i < j are stored; symmetry is structural and
-    self-loops are rejected outright. Degrees and neighbour lists are built
-    together, in one pass, on first use.
+    Filled from `h.incidence`, so a stray vertex index raises `ValueError`.
     """
-
-    order: int
-    multiplicities: Mapping[tuple[int, int], int]
-
-    def __init__(self, order: int, multiplicities: Mapping[tuple[int, int], int]):
-        norm: dict[tuple[int, int], int] = {}
-        for (i, j), mult in multiplicities.items():
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not 0 <= i < order or not 0 <= j < order:
-                raise ValueError(f"vertex pair {(i, j)} out of range for order {order}")
-            try:
-                mult = operator.index(mult)
-            except TypeError:
-                raise ValueError(
-                    f"non-integer multiplicity {mult!r} at {(i, j)}"
-                ) from None
-            if mult < 0:
-                raise ValueError(f"negative multiplicity at {(i, j)}")
-            if mult == 0:
-                continue
-            key = (i, j) if i < j else (j, i)
-            norm[key] = norm.get(key, 0) + mult
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "multiplicities", norm)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise IndexError(f"vertex {v} out of range for order {self.order}")
-        return self._incidence[0][v]
-
-    def total_multiplicity(self) -> int:
-        """Number of edges counted with multiplicity."""
-        return sum(self.multiplicities.values())
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (i, j, multiplicity) sorted by (i, j)."""
-        for (i, j) in sorted(self.multiplicities):
-            yield i, j, self.multiplicities[(i, j)]
-
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted distinct neighbours; empty for a vertex outside the graph."""
-        if not 0 <= v < self.order:
-            return []
-        return list(self._incidence[1][v])
-
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(degree per vertex, sorted neighbours per vertex)."""
-        degrees = [0] * self.order
-        neighbors: list[list[int]] = [[] for _ in range(self.order)]
-        for (i, j), mult in self.multiplicities.items():
-            degrees[i] += mult
-            degrees[j] += mult
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        return tuple(degrees), tuple(tuple(sorted(ns)) for ns in neighbors)
+    b = np.zeros((h.n, h.m), dtype=np.int64)
+    rows = np.repeat(np.arange(h.n), h.degrees)
+    b[rows, list(chain.from_iterable(h.incidence))] = 1
+    return b
 
 
 @dataclass(frozen=True)
@@ -277,18 +231,19 @@ def is_connected(h: Hypergraph) -> bool:
     return len(seen_v) == h.n
 
 
-def multigraph_is_connected(g: Multigraph) -> bool:
-    if g.order <= 1:
+def multigraph_is_connected(a: np.ndarray) -> bool:
+    """Connectivity of the multigraph with adjacency matrix `a`, by a
+    breadth-first search that expands the whole frontier one row block at
+    a time."""
+    seen = np.zeros(len(a), dtype=bool)
+    if not seen.size:
         return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.order
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = a[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def zagreb_index(h: Hypergraph) -> int:

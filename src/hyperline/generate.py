@@ -12,6 +12,11 @@ no simple placement in `EDGE_TRIES` redraws costs one attempt; a finished
 draw is accepted by `is_valid`, the one definition of "simple". After
 `MAX_ATTEMPTS` draws it gives up with `ValueError`. Deterministic for a
 fixed seed.
+
+Sizes that admit no connected simple hypergraph are refused before any
+draw: fewer edges than can cover n vertices, or more than an antichain of
+sets of size 2..min(max_card, n) can hold, which by the LYM inequality is
+at most the largest binomial coefficient C(n, k) in that range.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain
+from math import comb
 
 from .core import Hypergraph, is_valid
 
@@ -89,6 +95,13 @@ def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
         raise ValueError(
             f"no connected hypergraph with n={n}, m={m}, max_card={max_card}: "
             f"m * (min(max_card, n) - 1) = {m * (top - 1)} < n - 1 = {n - 1}"
+        )
+    widest = max(comb(n, k) for k in range(2, top + 1))
+    if m > widest:
+        raise ValueError(
+            f"no simple hypergraph with n={n}, m={m}, max_card={max_card}: "
+            f"its edges form an antichain of sets of size 2..{top}, so "
+            f"m <= max C(n, k) = {widest}"
         )
     rng = random.Random(seed)
     labels = [str(i + 1) for i in range(n)]

@@ -2,7 +2,8 @@
 
 The line multigraph of a hypergraph has one vertex per hyperedge; two
 vertices are joined by as many parallel edges as the corresponding
-hyperedges share vertices. Padding an edge with fresh degree-one vertices,
+hyperedges share vertices. It is held as its adjacency matrix `h.line`,
+`BᵀB` less its diagonal. Padding an edge with fresh degree-one vertices,
 or stripping a degree-one vertex out of an edge of size >= 3, never changes
 any pairwise intersection, which is what makes `reduce_core` / `uniformize`
 line-preserving and makes every multigraph realizable as a line multigraph.
@@ -10,7 +11,9 @@ line-preserving and makes every multigraph realizable as a line multigraph.
 
 from __future__ import annotations
 
-from .core import Hypergraph, Multigraph, rank_corank, zagreb_index
+import numpy as np
+
+from .core import Hypergraph, rank_corank, zagreb_index
 
 
 def line_degree_formula(h: Hypergraph, i: int) -> int:
@@ -28,13 +31,6 @@ def line_edge_count(h: Hypergraph) -> int:
     if twice % 2:
         raise AssertionError(f"odd degree sum {twice} for the line edge count")
     return twice // 2
-
-
-def scale_multigraph(g: Multigraph, t: int) -> Multigraph:
-    """Multiply every multiplicity by t >= 1; vertex set unchanged."""
-    if t < 1:
-        raise ValueError(f"scale factor must be >= 1, got {t}")
-    return Multigraph(g.order, {key: t * m for key, m in g.multiplicities.items()})
 
 
 def reduce_core(h: Hypergraph) -> Hypergraph:
@@ -88,24 +84,40 @@ def uniformize(h: Hypergraph) -> Hypergraph:
     return Hypergraph(labels, edges)
 
 
-def from_multigraph(g: Multigraph) -> Hypergraph:
-    """A hypergraph whose line multigraph is g, with rank = max degree of g.
+def from_multigraph(a: np.ndarray) -> Hypergraph:
+    """A hypergraph whose line multigraph is `a`, with rank = max degree.
 
-    Hypergraph vertices are g's edge instances; the hyperedge for vertex u
-    collects the instances incident to u, so two hyperedges meet in exactly
-    the parallel edges joining their endpoints. Vertices of degree < 2 are
-    rejected: degree 0 leaves an uncoverable hyperedge slot and degree 1
-    yields a cardinality-one hyperedge.
+    `a` is an adjacency matrix: square, symmetric, of integer dtype,
+    non-negative and with a zero diagonal; anything else raises
+    `ValueError`. Hypergraph vertices are the edge instances of `a`; the
+    hyperedge for vertex u collects the instances incident to u, so two
+    hyperedges meet in exactly the parallel edges joining their endpoints.
+    Vertices of degree < 2 are rejected: degree 0 leaves an uncoverable
+    hyperedge slot and degree 1 yields a cardinality-one hyperedge.
     """
-    for v in range(g.order):
-        d = g.degree(v)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency matrix must be square, not of shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"non-integer multiplicities of dtype {a.dtype}")
+    if (a < 0).any():
+        i, j = np.argwhere(a < 0)[0].tolist()
+        raise ValueError(f"negative multiplicity at {(i, j)}")
+    loops = np.flatnonzero(a.diagonal())
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {loops[0]}")
+    if not np.array_equal(a, a.T):
+        i, j = np.argwhere(a != a.T)[0].tolist()
+        raise ValueError(f"asymmetric multiplicities at {(i, j)} and {(j, i)}")
+    for v, d in enumerate(a.sum(axis=1).tolist()):
         if d == 0:
             raise ValueError(f"isolated vertex {v}")
         if d < 2:
             raise ValueError(f"vertex {v} of degree < 2 yields non-simple hypergraph")
     labels = []
-    incident: list[list[int]] = [[] for _ in range(g.order)]
-    for i, j, mult in g.pairs():
+    incident: list[list[int]] = [[] for _ in range(len(a))]
+    rows, cols = np.nonzero(np.triu(a))
+    for i, j, mult in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
         for c in range(mult):
             idx = len(labels)
             labels.append(f"{i}-{j}:{c}")

@@ -1,5 +1,5 @@
-"""Exact integer matrices: incidence, line adjacency, signless Laplacian,
-and exact kernel/rank computation.
+"""Exact integer matrices: incidence, signless Laplacian, the Gram
+identity, and exact kernel/rank computation.
 
 A matrix is a 2-D numpy integer array: `int64` from the builders, whose
 entries are counts of at most m, or `object` for entries beyond int64.
@@ -21,48 +21,28 @@ Floating point appears only downstream, in the eigensolver.
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
   run without BLAS.
+- `incidence_matrix` is defined in `core`, which builds the line
+  adjacency matrix `A_L = BᵀB - C` from it, and is exported here too.
 - `Bᵀ B = C + A_L` is checked in `gram_identity_check` without forming
-  either side: each pair the line multigraph lists must have its edges'
-  intersection as its multiplicity, and the total multiplicity must equal
-  the count `line_edge_count` takes from degrees alone, which leaves no
-  unlisted pair room to meet.
+  `Bᵀ B` again: each non-zero pair above the diagonal of `A_L` must have
+  its edges' intersection as its multiplicity, and the total multiplicity
+  must equal the count `line_edge_count` takes from degrees alone, which
+  leaves no zero pair room to meet.
 - `B x` is `incidence_product`, summed from the incidence lists.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, Multigraph
+from .core import Hypergraph, incidence_matrix
 from .line import line_edge_count
 
 # a prime below 2**31: a product of two residues, (p - 1)**2, fits in int64
 _PRIME = 2147483629
-
-
-def incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """0/1 vertex-by-edge membership matrix (n x m), edges in input order.
-
-    Filled from `h.incidence`, so a stray vertex index raises `ValueError`.
-    """
-    b = np.zeros((h.n, h.m), dtype=np.int64)
-    rows = np.repeat(np.arange(h.n), h.degrees)
-    b[rows, list(chain.from_iterable(h.incidence))] = 1
-    return b
-
-
-def adjacency_matrix(g: Multigraph) -> np.ndarray:
-    """Symmetric multiplicity matrix with zero diagonal."""
-    a = np.zeros((g.order, g.order), dtype=np.int64)
-    pairs = list(g.pairs())
-    if pairs:
-        i, j, mult = zip(*pairs)
-        a[i, j] = a[j, i] = mult
-    return a
 
 
 def signless_laplacian(h: Hypergraph) -> np.ndarray:
@@ -75,17 +55,20 @@ def gram_identity_check(h: Hypergraph) -> bool:
     """Exact test of B^T B = C + A_L, off the diagonal (both diagonals are |e_i|).
 
     Always true for a correct implementation; exposed as a loud self-test.
-    Every pair the line multigraph lists must carry the size of its edges'
-    intersection. The total multiplicity must equal the sum over vertices
-    of d(v)(d(v) - 1)/2, which counts every pair's intersection from degrees
-    alone, so every pair left unlisted meets in no vertex.
+    Every non-zero pair above the diagonal of `h.line` must carry the size
+    of its edges' intersection. Their total must equal the sum over
+    vertices of d(v)(d(v) - 1)/2, which counts every pair's intersection
+    from degrees alone, so every zero pair meets in no vertex.
     """
-    g = h.line
+    a = h.line
     sets = [set(e) for e in h.edges]
+    rows, cols = np.nonzero(np.triu(a))
+    mults = a[rows, cols].tolist()
     listed = all(
-        mult == len(sets[i] & sets[j]) for (i, j), mult in g.multiplicities.items()
+        mult == len(sets[i] & sets[j])
+        for i, j, mult in zip(rows.tolist(), cols.tolist(), mults)
     )
-    return listed and g.total_multiplicity() == line_edge_count(h)
+    return listed and sum(mults) == line_edge_count(h)
 
 
 def _row_reduce(rows: list[list[int]]) -> list[int]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Hypergraph, rank_corank
-from .line import scale_multigraph
 
 
 @dataclass(frozen=True)
@@ -72,4 +73,4 @@ def power_line_invariance_check(base: Hypergraph, params: PowerParams) -> bool:
 
     Holds by construction; a False return signals an implementation bug.
     """
-    return power_hypergraph(base, params).line == scale_multigraph(base.line, params.t)
+    return np.array_equal(power_hypergraph(base, params).line, params.t * base.line)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .core import Hypergraph, is_uniform
 from .matrices import exact_kernel, incidence_matrix, incidence_product
 
@@ -160,15 +162,12 @@ def collar_implies_bipartite_check(h: Hypergraph, witness: CollarWitness) -> boo
     multigraph is bipartite (and, for a k-uniform collar, k-regular)."""
     if witness.edge_indices != tuple(range(h.m)):
         raise ValueError("witness does not cover every edge")
-    g = h.line
-    for i, j, _ in g.pairs():
-        if witness.coloring[i] == witness.coloring[j]:
-            return False
+    a = h.line
+    colors = np.array([witness.coloring[i] for i in range(h.m)])
+    if a[np.equal.outer(colors, colors)].any():
+        return False
     k = is_uniform(h)
-    if k is not None:
-        if any(g.degree(v) != k for v in range(g.order)):
-            return False
-    return True
+    return k is None or bool((a.sum(axis=1) == k).all())
 
 
 def find_collar_subhypergraph(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 
-from hyperline import Hypergraph, Multigraph
+import numpy as np
+
+from hyperline import Hypergraph
 
 TRIO_TEXT = "1 2 3\n1 4 5\n3 4 5\n"
 
@@ -184,9 +186,17 @@ def uniform_edge_regular_family() -> list[Hypergraph]:
 
 def line_is_regular(h: Hypergraph) -> bool:
     """Whether every vertex of the line multigraph has the same degree."""
-    g = h.line
-    return len({g.degree(v) for v in range(g.order)}) <= 1
+    return len(set(h.line.sum(axis=1).tolist())) <= 1
 
 
-def triangle_with_doubled_edge() -> Multigraph:
-    return Multigraph(3, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
+def adjacency(order: int, mults: dict[tuple[int, int], int]) -> np.ndarray:
+    """The `int64` adjacency matrix with multiplicity mults[(i, j)] at
+    (i, j) and (j, i), zero elsewhere."""
+    a = np.zeros((order, order), dtype=np.int64)
+    for (i, j), mult in mults.items():
+        a[i, j] = a[j, i] = mult
+    return a
+
+
+def triangle_with_doubled_edge() -> np.ndarray:
+    return adjacency(3, {(0, 1): 2, (0, 2): 1, (1, 2): 1})

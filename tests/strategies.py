@@ -6,7 +6,9 @@ import itertools
 
 from hypothesis import assume, strategies as st
 
-from hyperline import Hypergraph, Multigraph
+from hyperline import Hypergraph
+
+import helpers
 
 
 def _relabel_covered(edges) -> Hypergraph:
@@ -54,17 +56,20 @@ def uniform_hypergraphs(
 
 
 @st.composite
-def multigraphs(draw, max_order: int = 6, max_mult: int = 3):
-    order = draw(st.integers(min_value=2, max_value=max_order))
+def multigraphs(draw, min_order: int = 2, max_order: int = 6, max_mult: int = 3):
+    """Adjacency matrices of multigraphs on min_order..max_order vertices."""
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
     pairs = list(itertools.combinations(range(order), 2))
-    mults = draw(
-        st.dictionaries(
-            st.sampled_from(pairs),
-            st.integers(min_value=1, max_value=max_mult),
-            max_size=len(pairs),
+    mults = {}
+    if pairs:
+        mults = draw(
+            st.dictionaries(
+                st.sampled_from(pairs),
+                st.integers(min_value=1, max_value=max_mult),
+                max_size=len(pairs),
+            )
         )
-    )
-    return Multigraph(order, mults)
+    return helpers.adjacency(order, mults)
 
 
 @st.composite

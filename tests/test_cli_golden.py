@@ -2,8 +2,9 @@
 
 Every subcommand below runs in-process through `cli.main` on each
 `demos/data/*.hg` file; one sha256 covers each call's stdout and exit code,
-so a refactor that changes any printed byte fails here. Subcommands that
-print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
+so a refactor that changes any printed byte fails here. A third digest
+covers `line` and `info --json` on two larger instances whose line
+multiplicities exceed 1. Subcommands that print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
 out of that digest: their last digits depend on the LAPACK build. A second
 digest covers `check --json` with every float rounded to 6 decimals.
 """
@@ -12,7 +13,10 @@ import hashlib
 import json
 from pathlib import Path
 
+from hyperline import emit
 from hyperline.cli import main
+
+import helpers
 
 DATA = sorted((Path(__file__).resolve().parent.parent / "demos" / "data").glob("*.hg"))
 
@@ -61,4 +65,22 @@ def test_check_json_on_demo_data_is_pinned(capsys):
             digest.update(f"{path.name} --tol {tol} -> {code}\n{json.dumps(data)}\n".encode())
     assert digest.hexdigest() == (
         "b0eef862837e0c3d37bffc01c8867e4620e2991ec7a5933481064ece61a0ae2c"
+    )
+
+
+def test_line_output_at_size_is_pinned(capsys, tmp_path):
+    instances = {
+        "circulant60_4.hg": helpers.circulant(60, 4),
+        "complete7_3.hg": helpers.complete_uniform(7, 3),
+    }
+    digest = hashlib.sha256()
+    for name, h in instances.items():
+        path = tmp_path / name
+        path.write_text(emit(h))
+        for sub in SUBCOMMANDS[:4]:  # info --json, then line in its three formats
+            code = main([sub[0], str(path), *sub[1:]])
+            out = capsys.readouterr().out
+            digest.update(f"{name} {' '.join(sub)} -> {code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "a9e9dec705b58cbd8869229dfa4f8631b5eeae4cc62004e80905d3de6cbfa5e9"
     )

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
-    Multigraph,
     certificate_minus_r,
     find_collar_subhypergraph,
+    from_multigraph,
     incidence_matrix,
     is_connected,
     is_uniform,
@@ -24,7 +24,7 @@ from hyperline import (
 
 import helpers
 import strategies
-from oracles import connected_oracle, nested_pairs_oracle
+from oracles import connected_oracle, line_oracle, nested_pairs_oracle
 
 
 def test_validate_trio_clean(trio):
@@ -194,45 +194,58 @@ def test_zagreb(trio):
 
 
 def test_multigraph_degree_line_of_trio(trio):
-    g = trio.line
-    assert g.degree(1) == 3
-    assert g.degree(0) == 2
+    assert trio.line.sum(axis=1).tolist() == [2, 3, 3]
 
 
-def test_multigraph_degree_isolated_and_range():
-    g = Multigraph(3, {(0, 1): 2})
-    assert g.degree(2) == 0
-    with pytest.raises(IndexError):
-        g.degree(3)
+def test_line_is_a_read_only_int64_matrix(trio):
+    a = trio.line
+    assert a.dtype == np.int64 and a.shape == (3, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        a += 1
+    assert trio.line[0, 1] == 1
 
 
 def test_multigraph_rejects_self_loop():
-    with pytest.raises(ValueError, match="self-loop"):
-        Multigraph(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        from_multigraph(np.array([[0, 2], [2, 1]]))
 
 
 def test_multigraph_rejects_non_integer_multiplicity():
-    with pytest.raises(ValueError, match="non-integer multiplicity 1.5"):
-        Multigraph(2, {(0, 1): 1.5})
-    g = Multigraph(2, {(0, 1): np.int64(2)})
-    assert g.total_multiplicity() == 2
-    assert type(g.multiplicities[(0, 1)]) is int
+    with pytest.raises(ValueError, match="non-integer multiplicities of dtype float64"):
+        from_multigraph(np.array([[0, 1.5], [1.5, 0]]))
+    with pytest.raises(ValueError, match=r"negative multiplicity at \(0, 1\)"):
+        from_multigraph(np.array([[0, -2], [-2, 0]]))
+    h = from_multigraph(np.array([[0, 2], [2, 0]], dtype=np.int64))
+    assert h.labels == ("0-1:0", "0-1:1")
+    assert h.line.tolist() == [[0, 2], [2, 0]]
+
+
+def test_multigraph_rejects_asymmetric_and_non_square():
+    with pytest.raises(ValueError, match=r"asymmetric multiplicities at \(0, 2\)"):
+        from_multigraph(np.array([[0, 2, 1], [2, 0, 2], [2, 2, 0]]))
+    for shape in [(2, 3), (4,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match="must be square"):
+            from_multigraph(np.zeros(shape, dtype=np.int64))
+
+
+@settings(deadline=None)
+@given(strategies.hypergraphs())
+def test_multigraph_degree_and_neighbors_match_pair_scan(h):
+    a, pairs = h.line, line_oracle(h)
+    for v in range(h.m):
+        incident = [(i, j, mult) for (i, j), mult in pairs.items() if v in (i, j)]
+        assert a[v].sum() == sum(mult for _, _, mult in incident)
+        assert np.flatnonzero(a[v]).tolist() == sorted(
+            j if i == v else i for i, j, _ in incident
+        )
 
 
 @settings(deadline=None)
 @given(strategies.multigraphs())
-def test_multigraph_degree_and_neighbors_match_pair_scan(g):
-    for v in range(g.order):
-        pairs = [(i, j, m) for (i, j), m in g.multiplicities.items() if v in (i, j)]
-        assert g.degree(v) == sum(m for _, _, m in pairs)
-        assert g.neighbors(v) == sorted(j if i == v else i for i, j, _ in pairs)
-    assert g.neighbors(g.order) == []
-
-
-@settings(deadline=None)
-@given(strategies.multigraphs())
-def test_handshake(g):
-    assert sum(g.degree(v) for v in range(g.order)) == 2 * g.total_multiplicity()
+def test_handshake(a):
+    assert a.sum(axis=1).sum() == 2 * np.triu(a).sum()
 
 
 @settings(deadline=None)

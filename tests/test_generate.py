@@ -2,6 +2,7 @@ import hashlib
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,9 @@ from hyperline import (
     validate,
 )
 from hyperline import generate
+
+from helpers import adjacency
+from oracles import line_oracle
 
 
 def test_deterministic_per_seed():
@@ -35,8 +39,34 @@ def test_single_edge_case():
 
 def test_infeasible_raises(monkeypatch):
     monkeypatch.setattr(generate, "MAX_ATTEMPTS", 200)
-    with pytest.raises(ValueError, match="after 200 attempts"):
+    # above the antichain bound: refused before any draw
+    with pytest.raises(ValueError, match=r"antichain .* m <= max C\(n, k\) = 3"):
         generate_hypergraph(3, 7, 3, seed=0)
+    # within it (every triple of 8 vertices, 56 edges, is simple), yet past
+    # what the sampler completes: it gives up after MAX_ATTEMPTS draws
+    with pytest.raises(ValueError, match="after 200 attempts"):
+        generate_hypergraph(8, 40, 3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, m, max_card, widest",
+    [(6, 30, 3, 20), (5, 11, 3, 10), (4, 7, 4, 6), (3, 4, 2, 3)],
+)
+def test_sizes_beyond_the_antichain_bound_are_refused_at_once(
+    monkeypatch, n, m, max_card, widest
+):
+    def no_draw(*args):
+        raise AssertionError("drew a size beyond the antichain bound")
+
+    monkeypatch.setattr(generate, "_sizes", no_draw)
+    with pytest.raises(ValueError, match=rf"m <= max C\(n, k\) = {widest}$"):
+        generate_hypergraph(n, m, max_card, seed=0)
+
+
+@pytest.mark.parametrize("n, m, max_card", [(4, 6, 2), (5, 10, 3), (4, 6, 4)])
+def test_sizes_at_the_antichain_bound_generate(n, m, max_card):
+    h = generate_hypergraph(n, m, max_card, seed=0)
+    assert h.m == m and is_valid(h) and is_connected(h)
 
 
 def test_sizes_that_cannot_connect_are_refused_at_once():
@@ -99,6 +129,7 @@ def test_outputs_are_simple_connected_and_seeded(sizes):
     assert all(2 <= len(e) <= max_card for e in h.edges)
     assert validate(h) == []
     assert nx.is_connected(incidence_graph(h))
+    assert np.array_equal(h.line, adjacency(m, line_oracle(h)))
     assert generate_hypergraph(n, m, max_card, seed) == h
 
 
@@ -109,8 +140,8 @@ def test_graph_outputs_have_the_line_graph_as_line(sizes):
     line = nx.line_graph(nx.Graph(h.edges))
     index = {frozenset(e): i for i, e in enumerate(h.edges)}
     expected = {tuple(sorted((index[frozenset(a)], index[frozenset(b)]))) for a, b in line.edges}
-    assert {(i, j) for i, j, _ in h.line.pairs()} == expected
-    assert all(c == 1 for _, _, c in h.line.pairs())
+    assert {(i, j) for i, j in np.argwhere(np.triu(h.line)).tolist()} == expected
+    assert h.line.max() <= 1
 
 
 def test_parameter_validation():

@@ -374,3 +374,25 @@ def test_cli_import_loads_no_heavy_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_closed_pipe_exits_quietly(tmp_path):
+    path = write(tmp_path, "big.hg", emit(helpers.circulant(300, 4)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperline.cli", "line", path, "--format", "matrix"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # 180 kB of rows, more than a pipe holds, so a write fails after the close
+    assert proc.stdout.readline() == b"300 300\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert code == 141

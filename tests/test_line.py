@@ -1,9 +1,11 @@
+import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
-    Multigraph,
+    PowerParams,
     emit,
     from_multigraph,
     is_connected,
@@ -11,9 +13,9 @@ from hyperline import (
     line_edge_count,
     multigraph_is_connected,
     parse_text,
+    power_hypergraph,
     rank_corank,
     reduce_core,
-    scale_multigraph,
     uniformize,
     is_uniform,
 )
@@ -21,22 +23,23 @@ from hyperline.structure import regularity_report
 
 import helpers
 import strategies
+from helpers import adjacency
 from oracles import line_oracle, linear_oracle, reduce_core_fixpoint
 
 
 def test_line_multigraph_trio(trio):
-    assert dict(trio.line.multiplicities) == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
+    assert trio.line.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
     assert trio.edge_label_sets() == (("1", "2", "3"), ("1", "4", "5"), ("3", "4", "5"))
 
 
 def test_line_multigraph_disjoint_edges():
-    g = Hypergraph.from_edges([[0, 1], [2, 3]]).line
-    assert g.order == 2 and g.total_multiplicity() == 0
+    a = Hypergraph.from_edges([[0, 1], [2, 3]]).line
+    assert a.shape == (2, 2) and not a.any()
 
 
 def test_line_multigraph_path():
-    g = helpers.path(4).line
-    assert dict(g.multiplicities) == {(0, 1): 1, (1, 2): 1}
+    a = helpers.path(4).line
+    assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_line_degree_formula_trio(trio):
@@ -53,17 +56,6 @@ def test_line_edge_count_examples(trio):
     assert line_edge_count(helpers.cycle(4)) == 4
 
 
-def test_scale_multigraph(trio):
-    g = trio.line
-    doubled = scale_multigraph(g, 2)
-    assert dict(doubled.multiplicities) == {(0, 1): 2, (0, 2): 2, (1, 2): 4}
-    assert scale_multigraph(g, 1) == g
-    tripled = scale_multigraph(helpers.path(4).line, 3)
-    assert dict(tripled.multiplicities) == {(0, 1): 3, (1, 2): 3}
-    with pytest.raises(ValueError):
-        scale_multigraph(g, 0)
-
-
 def test_reduce_core_strips_pendant_vertex(trio):
     # trio with a sixth degree-one vertex inside the first edge; vertex "2"
     # has degree one as well, so both go, and the fixed point coincides
@@ -72,15 +64,15 @@ def test_reduce_core_strips_pendant_vertex(trio):
         ["1", "2", "3", "4", "5", "6"], [[0, 1, 2, 5], [0, 3, 4], [2, 3, 4]]
     )
     assert reduce_core(padded) == reduce_core(trio)
-    assert reduce_core(padded).line == padded.line
-    assert padded.line == trio.line
+    assert np.array_equal(reduce_core(padded).line, padded.line)
+    assert np.array_equal(padded.line, trio.line)
 
 
 def test_reduce_core_trio_removes_degree_one_vertex(trio):
     reduced = reduce_core(trio)
     assert reduced.labels == ("1", "3", "4", "5")
     assert reduced.edges == ((0, 1), (0, 2, 3), (1, 2, 3))
-    assert reduced.line == trio.line
+    assert np.array_equal(reduced.line, trio.line)
 
 
 def test_reduce_core_noop_on_graphs():
@@ -101,8 +93,8 @@ def test_uniformize_skips_padding_labels_in_use():
     u = uniformize(h)
     assert u.edge_label_sets() == (("a", "b", "_pad_0_1"), ("b", "c", "_pad_0_0"))
     assert len(set(u.labels)) == u.n
-    assert u.line == h.line
-    assert parse_text(emit(u)).line == h.line
+    assert np.array_equal(u.line, h.line)
+    assert np.array_equal(parse_text(emit(u)).line, h.line)
 
 
 def test_uniformize_identity_on_uniform(trio):
@@ -112,21 +104,21 @@ def test_uniformize_identity_on_uniform(trio):
 def test_uniformize_then_reduce_preserves_line():
     h = helpers.from_label_edges([["1", "2"], ["2", "3", "4"]])
     roundtrip = reduce_core(uniformize(h))
-    assert roundtrip.line == h.line
+    assert np.array_equal(roundtrip.line, h.line)
 
 
 def test_from_multigraph_triangle_with_doubled_edge():
     g = helpers.triangle_with_doubled_edge()
     h = from_multigraph(g)
     assert sorted(len(e) for e in h.edges) == [2, 3, 3]
-    assert h.line == g
+    assert np.array_equal(h.line, g)
     assert rank_corank(h)[0] == 3
 
 
 def test_from_multigraph_c4_self_line():
     g = helpers.cycle(4).line
     h = from_multigraph(g)
-    assert h.line == g
+    assert np.array_equal(h.line, g)
 
 
 def test_from_multigraph_line_of_trio(trio):
@@ -134,40 +126,40 @@ def test_from_multigraph_line_of_trio(trio):
     h = from_multigraph(g)
     assert h.n == 4 and h.m == 3
     assert sorted(len(e) for e in h.edges) == [2, 3, 3]
-    assert h.line == g
+    assert np.array_equal(h.line, g)
 
 
 def test_from_multigraph_rejects_low_degree():
     with pytest.raises(ValueError, match="degree < 2"):
-        from_multigraph(Multigraph(3, {(0, 1): 2, (1, 2): 1}))
+        from_multigraph(adjacency(3, {(0, 1): 2, (1, 2): 1}))
     with pytest.raises(ValueError, match="isolated"):
-        from_multigraph(Multigraph(3, {(0, 1): 2}))
+        from_multigraph(adjacency(3, {(0, 1): 2}))
 
 
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_line_degree_formula_matches_construction(h):
-    g = h.line
+    degrees = h.line.sum(axis=1).tolist()
     for i in range(h.m):
-        assert g.degree(i) == line_degree_formula(h, i)
+        assert degrees[i] == line_degree_formula(h, i)
 
 
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_line_edge_count_matches_construction(h):
-    assert line_edge_count(h) == h.line.total_multiplicity()
+    assert line_edge_count(h) == np.triu(h.line).sum()
 
 
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_reduce_and_uniformize_preserve_line(h):
     base = h.line
-    assert reduce_core(h).line == base
-    assert uniformize(h).line == base
+    assert np.array_equal(reduce_core(h).line, base)
+    assert np.array_equal(uniformize(h).line, base)
 
 
 def assert_line_and_linearity_match_all_pairs(h):
-    assert h.line == Multigraph(h.m, line_oracle(h))
+    assert np.array_equal(h.line, adjacency(h.m, line_oracle(h)))
     assert regularity_report(h).linear == linear_oracle(h)
 
 
@@ -186,6 +178,19 @@ def test_line_and_linearity_match_all_pairs_circulant():
     assert_line_and_linearity_match_all_pairs(helpers.circulant(200, 4))
 
 
+@pytest.mark.parametrize(
+    "h",
+    [
+        helpers.circulant(140, 4),
+        helpers.complete_uniform(9, 3),
+        power_hypergraph(helpers.circulant(30, 3), PowerParams(t=2, k=8)),
+    ],
+    ids=["circulant140_4", "complete9_3", "power_t2_circulant30_3"],
+)
+def test_line_matches_all_pairs_at_size(h):
+    assert np.array_equal(h.line, adjacency(h.m, line_oracle(h)))
+
+
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_reduce_core_one_pass_matches_fixpoint(h):
@@ -199,7 +204,7 @@ def test_reduce_core_one_pass_matches_fixpoint(h):
 @settings(deadline=None)
 @given(strategies.hypergraphs())
 def test_linear_iff_line_simple(h):
-    simple = all(mult <= 1 for _, _, mult in h.line.pairs())
+    simple = bool(h.line.max() <= 1)
     assert simple == regularity_report(h).linear
 
 
@@ -211,10 +216,21 @@ def test_connected_iff_line_connected(h):
 
 
 @settings(deadline=None)
+@given(strategies.multigraphs(min_order=0))
+@example(np.zeros((0, 0), dtype=np.int64))
+@example(np.zeros((1, 1), dtype=np.int64))
+@example(adjacency(4, {(0, 1): 2, (2, 3): 1}))
+def test_multigraph_is_connected_matches_networkx(a):
+    graph = nx.from_numpy_array(a)
+    expected = len(a) <= 1 or nx.is_connected(graph)
+    assert multigraph_is_connected(a) == expected
+
+
+@settings(deadline=None)
 @given(strategies.multigraphs())
 def test_from_multigraph_reconstructs(g):
-    assume(all(g.degree(v) >= 2 for v in range(g.order)))
-    assert from_multigraph(g).line == g
+    assume((g.sum(axis=1) >= 2).all())
+    assert np.array_equal(from_multigraph(g).line, g)
 
 
 def test_regular_uniform_line_degree_formula():
@@ -225,5 +241,4 @@ def test_regular_uniform_line_degree_formula():
         (helpers.complete_uniform(5, 4), 4, 4),
         (helpers.complete_graph(4), 2, 3),
     ]:
-        g = h.line
-        assert all(g.degree(i) == k * (d - 1) for i in range(g.order))
+        assert (h.line.sum(axis=1) == k * (d - 1)).all()

@@ -8,7 +8,6 @@ from hyperline import (
     DEFAULT_TOLERANCE,
     CollarWitness,
     Hypergraph,
-    adjacency_matrix,
     certificate_minus_r,
     check_collar_witness,
     eigenvalues_symmetric,
@@ -28,10 +27,6 @@ from oracles import charpoly_coefficients, charpoly_real_roots, dense_incidence
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
-
-
-def line_adjacency(h):
-    return adjacency_matrix(h.line)
 
 
 def check_entry(h, name, tolerance=DEFAULT_TOLERANCE):
@@ -67,7 +62,7 @@ def assert_close_multisets(actual, expected, tol=1e-8):
 
 
 def test_eigenvalues_trio_line(trio):
-    spec = eigenvalues_symmetric(line_adjacency(trio))
+    spec = eigenvalues_symmetric(trio.line)
     # roots of x^3 - 6x - 4: 1 + sqrt3, 1 - sqrt3, -2
     assert_close_multisets(spec.eigenvalues, [1 + SQRT3, 1 - SQRT3, -2.0])
     assert spec.eigenvalues[0] >= spec.eigenvalues[-1]
@@ -148,7 +143,7 @@ def test_certificate_zero_on_small_edges(collar3):
     assert cert is not None and len(cert) == host.m
     assert cert[host.m - 1] == 0
     assert not (dense_incidence(host) @ cert).any()
-    spec = eigenvalues_symmetric(line_adjacency(host))
+    spec = eigenvalues_symmetric(host.line)
     assert spec.contains(-3.0, 1e-7)
 
 
@@ -180,7 +175,7 @@ def test_collar_certificate_collar3(collar3):
     assert all(s in (1, -1) for s in signs)
     assert signs == [1 if coloring[i] == 1 else -1 for i in range(h.m)]
     assert not (dense_incidence(h) @ cert).any()
-    assert eigenvalues_symmetric(line_adjacency(h)).contains(-3.0, 1e-7)
+    assert eigenvalues_symmetric(h.line).contains(-3.0, 1e-7)
 
 
 def test_collar_certificate_rejects_bad_witness():
@@ -299,7 +294,7 @@ def test_lower_bound_random(h):
 def test_certificate_iff_random(h):
     r, _ = rank_corank(h)
     cert = certificate_minus_r(h)
-    spec = eigenvalues_symmetric(line_adjacency(h))
+    spec = eigenvalues_symmetric(h.line)
     assert (cert is not None) == spec.contains(-float(r), 1e-7)
 
 

@@ -44,8 +44,7 @@ def test_skew_iff_examples(trio):
     for h in (helpers.cycle(4), trio):
         skew = regularity_report(h).skew_edge_regular is not None
         assert skew == helpers.line_is_regular(h)
-    g = trio.line
-    assert [g.degree(i) for i in range(3)] == [2, 3, 3]  # both sides false
+    assert trio.line.sum(axis=1).tolist() == [2, 3, 3]  # both sides false
 
 
 @settings(deadline=None)
@@ -60,8 +59,7 @@ def test_skew_family_both_sides_true(skew_family):
     for h in skew_family:
         rep = regularity_report(h)
         assert rep.skew_edge_regular is not None
-        g = h.line
-        degrees = {g.degree(i) for i in range(g.order)}
+        degrees = set(h.line.sum(axis=1).tolist())
         assert len(degrees) == 1
         assert degrees.pop() == rep.skew_edge_regular
 
@@ -90,8 +88,7 @@ def test_collar_iff_even_cycle_for_graphs():
 def test_collar_bipartite_check(collar3):
     h, _ = collar3
     assert collar_implies_bipartite_check(h, is_collar(h))
-    g = h.line
-    assert all(g.degree(i) == 3 for i in range(g.order))
+    assert (h.line.sum(axis=1) == 3).all()
     for n in (4, 6):
         c = helpers.cycle(n)
         assert collar_implies_bipartite_check(c, is_collar(c))
