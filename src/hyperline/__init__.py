@@ -39,6 +39,7 @@ from .spectra import (
     certificate_minus_r,
     eigenvalues_symmetric,
     power_spectrum_formula,
+    signless_spectrum,
 )
 from .structure import (
     CollarWitness,

@@ -24,9 +24,14 @@ from .core import (
     rank_corank,
 )
 from .line import line_degree_formula, line_edge_count
-from .matrices import gram_identity_check, signless_laplacian
+from .matrices import gram_identity_check
 from .power import PowerParams, power_line_invariance_check
-from .spectra import DEFAULT_TOLERANCE, certificate_minus_r, eigenvalues_symmetric
+from .spectra import (
+    DEFAULT_TOLERANCE,
+    certificate_minus_r,
+    eigenvalues_symmetric,
+    signless_spectrum,
+)
 from .structure import (
     check_collar_witness,
     collar_implies_bipartite_check,
@@ -93,7 +98,7 @@ def run_all_checks(
     line_degrees = a.sum(axis=1).tolist()
     regularity = regularity_report(h)
     spec_line = eigenvalues_symmetric(a, tolerance)
-    spec_q = eigenvalues_symmetric(signless_laplacian(h), tolerance)
+    spec_q = signless_spectrum(h, tolerance)
     entries: list[CheckEntry] = []
 
     def attained(value: float, bound: float) -> bool:

@@ -19,9 +19,13 @@ from .checks import run_all_checks
 from .core import is_connected, is_uniform, rank_corank, zagreb_index
 from .generate import generate_hypergraph
 from .io import emit, parse_path
-from .matrices import signless_laplacian
 from .power import PowerParams, power_hypergraph
-from .spectra import DEFAULT_TOLERANCE, eigenvalues_symmetric, power_spectrum_formula
+from .spectra import (
+    DEFAULT_TOLERANCE,
+    eigenvalues_symmetric,
+    power_spectrum_formula,
+    signless_spectrum,
+)
 from .structure import (
     check_collar_witness,
     find_collar_subhypergraph,
@@ -159,10 +163,9 @@ def _cmd_line(args) -> int:
 def _cmd_spectrum(args) -> int:
     h = parse_path(args.file)
     if args.matrix == "line-adjacency":
-        mat = h.line
+        spec = eigenvalues_symmetric(h.line, args.tol)
     else:
-        mat = signless_laplacian(h)
-    spec = eigenvalues_symmetric(mat, args.tol)
+        spec = signless_spectrum(h, args.tol)
     print(json.dumps(spec.to_json_dict(), indent=2))
     return 0
 
@@ -195,9 +198,7 @@ def _cmd_power(args) -> int:
             )
         out["formula"] = power_spectrum_formula(h, args.t, args.k, args.tol).to_json_dict()
     if args.spectrum in ("direct", "both"):
-        out["direct"] = eigenvalues_symmetric(
-            signless_laplacian(powered), args.tol
-        ).to_json_dict()
+        out["direct"] = signless_spectrum(powered, args.tol).to_json_dict()
     print(json.dumps(out, indent=2))
     return 0
 

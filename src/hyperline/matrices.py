@@ -20,7 +20,10 @@ Floating point appears only downstream, in the eigensolver.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
-  run without BLAS.
+  run without BLAS. Q's spectrum is not solved on it when m < n:
+  `spectra.signless_spectrum` solves `Bᵀ B = C + A_L` at size
+  min(n, m) and adds the |n - m| zeros exactly. This dense `Q` stays the
+  reference route the tests compare against.
 - `incidence_matrix` is defined in `core`, which builds the line
   adjacency matrix `A_L = BᵀB - C` from it, and is exported here too.
 - `Bᵀ B = C + A_L` is checked in `gram_identity_check` without forming

@@ -2,11 +2,15 @@
 certificates.
 
 The eigensolver is the only floating-point component; everything feeding it
-and every certificate is exact. Kernel certificates prove that -r (r the
-rank) is an eigenvalue of the line adjacency matrix without any tolerance:
-a non-zero integer vector in the incidence kernel, supported on the
-largest-cardinality edges, is such a proof, and conversely none exists when
--r is not an eigenvalue.
+and every certificate is exact. `Q = B Bᵀ` (n x n) and `Bᵀ B = C + A_L`
+(m x m) share their non-zero eigenvalues, so `signless_spectrum` solves Q's
+spectrum at size min(n, m): when m < n it solves `h.line` plus the edge
+sizes on its diagonal, and adds the other n - m eigenvalues as exact zeros.
+
+Kernel certificates prove that -r (r the rank) is an eigenvalue of the line
+adjacency matrix without any tolerance: a non-zero integer vector in the
+incidence kernel, supported on the largest-cardinality edges, is such a
+proof, and conversely none exists when -r is not an eigenvalue.
 """
 
 from __future__ import annotations
@@ -87,6 +91,24 @@ def eigenvalues_symmetric(
     return Spectrum(tuple(float(v) for v in vals[::-1]), tolerance)
 
 
+def signless_spectrum(
+    h: Hypergraph, tolerance: float = DEFAULT_TOLERANCE
+) -> Spectrum:
+    """The spectrum of Q = B Bᵀ, solved on the smaller of Q and Bᵀ B.
+
+    When 0 < m < n the m x m Gram matrix `h.line + diag(|e_i|)` is
+    solved and Q's remaining n - m eigenvalues are added as exact zeros;
+    otherwise Q itself is solved.
+    """
+    if not 0 < h.m < h.n:
+        return eigenvalues_symmetric(signless_laplacian(h), tolerance)
+    gram = h.line + np.diag([len(e) for e in h.edges])
+    vals = list(eigenvalues_symmetric(gram, tolerance).eigenvalues)
+    vals += [0.0] * (h.n - h.m)
+    vals.sort(reverse=True)
+    return Spectrum(tuple(vals), tolerance)
+
+
 def certificate_minus_r(h: Hypergraph) -> tuple[int, ...] | None:
     """Exact kernel certificate for -r, or None when -r is not an eigenvalue.
 
@@ -122,7 +144,7 @@ def power_spectrum_formula(
     q = PowerParams(t, k).padding(r)
     n, m = base.n, base.m
     p = exact_rank(incidence_matrix(base))
-    base_spec = eigenvalues_symmetric(signless_laplacian(base), tolerance)
+    base_spec = signless_spectrum(base, tolerance)
     vals = [t * lam + q for lam in base_spec.eigenvalues[:p]]
     if q > 0:
         vals += [float(q)] * (m - p)

@@ -97,7 +97,7 @@ def test_checks_single_edge():
 
 def test_checks_build_each_derived_object_once(monkeypatch):
     counts = {}
-    for name in ("eigenvalues_symmetric", "signless_laplacian", "regularity_report"):
+    for name in ("eigenvalues_symmetric", "signless_spectrum", "regularity_report"):
         original = getattr(hyperline.checks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -120,7 +120,7 @@ def test_checks_build_each_derived_object_once(monkeypatch):
     # the line is built for the base and for its power, nowhere else
     assert counts == {
         "eigenvalues_symmetric": 2,
-        "signless_laplacian": 1,
+        "signless_spectrum": 1,
         "regularity_report": 1,
         "line": 2,
     }

@@ -2,11 +2,12 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperline.matrices as matrices
 from hyperline import (
     Hypergraph,
+    PowerParams,
     eigenvalues_symmetric,
     exact_kernel,
     exact_rank,
@@ -17,7 +18,10 @@ from hyperline import (
     certificate_minus_r,
     check_collar_witness,
     is_collar,
+    power_hypergraph,
+    rank_corank,
     signless_laplacian,
+    signless_spectrum,
 )
 
 import helpers
@@ -133,8 +137,22 @@ def test_exact_rank_matches_kernel_dimension(trio):
     assert exact_rank(np.eye(5, dtype=np.int64)) == 5
 
 
+def assert_signless_spectrum_matches_dense_q(h):
+    q = signless_laplacian(h)
+    dense = eigenvalues_symmetric(q).eigenvalues
+    fast = signless_spectrum(h).eigenvalues
+    assert len(fast) == len(dense) == h.n
+    tol = 1e-9 * max(1.0, np.linalg.norm(q, 2))
+    assert all(abs(a - b) <= tol for a, b in zip(fast, dense))
+
+
 @settings(deadline=None)
 @given(strategies.hypergraphs(max_n=6, max_m=4))
+@example(helpers.complete_graph(5))  # wide: n < m
+@example(helpers.cycle(4))  # square
+@example(Hypergraph.from_edges([(0, 1, 2), (2, 3)], n=6))  # tall, isolated vertices
+@example(Hypergraph.from_edges(helpers.complete_graph(4).edges, n=5))  # wide, isolated
+@example(Hypergraph(["a"], []))  # no edges: Q is the 1 x 1 zero matrix
 def test_q_and_gram_share_nonzero_spectrum(h):
     b = incidence_matrix(h)
     q_eigs = [
@@ -146,6 +164,13 @@ def test_q_and_gram_share_nonzero_spectrum(h):
     g_eigs = [x for x in eigenvalues_symmetric(gram).eigenvalues if abs(x) > 1e-8]
     assert len(q_eigs) == len(g_eigs)
     assert all(abs(a - b2) < 1e-8 for a, b2 in zip(q_eigs, g_eigs))
+    # the spectrum solved at size min(n, m) matches the dense n x n route
+    assert_signless_spectrum_matches_dense_q(h)
+    if h.m:  # an edgeless hypergraph has no rank, so no power
+        r, _ = rank_corank(h)
+        assert_signless_spectrum_matches_dense_q(
+            power_hypergraph(h, PowerParams(2, 2 * r + 3))
+        )
 
 
 @settings(deadline=None)
