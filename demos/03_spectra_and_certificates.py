@@ -43,11 +43,12 @@ cert = certificate_minus_r(c4)
 print("\nC4 certificate for -2:", list(cert))
 
 # A collar is the structural reason: 2-regular, properly 2-colorable edge
-# set. Coloring classes give the +-1 kernel vector directly.
+# set. Its witness is the +-1 kernel vector itself, one sign per color
+# class, and on a 3-uniform collar it is the exact certificate for -3.
 collar = parse_path(DATA / "collar3.hg")
-witness = is_collar(collar)
-print("\n3-uniform collar recognized:", witness is not None)
-cert = check_collar_witness(collar, witness)
+cert = is_collar(collar)
+print("\n3-uniform collar recognized:", cert is not None)
+check_collar_witness(collar, cert)
 print("collar certificate (+1 on one class, -1 on the other):")
 print(" ", list(cert))
 spec = eigenvalues_symmetric(collar.line)

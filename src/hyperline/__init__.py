@@ -42,7 +42,6 @@ from .spectra import (
     signless_spectrum,
 )
 from .structure import (
-    CollarWitness,
     RegularityReport,
     check_collar_witness,
     collar_implies_bipartite_check,

@@ -16,7 +16,13 @@ import sys
 import numpy as np
 
 from .checks import run_all_checks
-from .core import is_connected, is_uniform, rank_corank, zagreb_index
+from .core import (
+    is_connected,
+    is_uniform,
+    multigraph_is_connected,
+    rank_corank,
+    zagreb_index,
+)
 from .generate import generate_hypergraph
 from .io import emit, parse_path
 from .power import PowerParams, power_hypergraph
@@ -212,12 +218,13 @@ def _cmd_collar(args) -> int:
     if witness is None:
         print("none")
         return 0
-    vec = check_collar_witness(h, witness)
+    check_collar_witness(h, witness)
+    support = [i for i, s in enumerate(witness) if s]
     data = {
-        "edges": list(witness.edge_indices),
-        "coloring": {str(i): c for i, c in sorted(witness.coloring.items())},
-        "certificate": list(vec),
-        "connected": witness.connected,
+        "edges": support,
+        "coloring": {str(i): 1 if witness[i] > 0 else 2 for i in support},
+        "certificate": list(witness),
+        "connected": multigraph_is_connected(h.line[np.ix_(support, support)]),
     }
     print(json.dumps(data, indent=2))
     return 0

@@ -141,8 +141,10 @@ def _exact_entries(matrix: np.ndarray) -> np.ndarray:
 
     Integer and bool dtypes are exact, and so are `object` arrays of
     integers; any other entry raises `ValueError`, since a float cast to an
-    integer would change the matrix.
+    integer would change the matrix, and so does an array that is not 2-D.
     """
+    if matrix.ndim != 2:
+        raise ValueError(f"exact routines need a 2-D matrix, not shape {matrix.shape}")
     if np.can_cast(matrix.dtype, np.int64):
         return matrix.astype(np.int64, copy=False)
     if matrix.dtype.kind != "u" and not (
@@ -261,7 +263,8 @@ def _kernel_mod_p(a: np.ndarray) -> list[list[int]]:
 
 def exact_rank(matrix: np.ndarray) -> int:
     """Rank over the rationals: the column count less the kernel dimension."""
-    return matrix.shape[1] - len(exact_kernel(matrix))
+    nullity = len(exact_kernel(matrix))  # first: it refuses a matrix that is not 2-D
+    return matrix.shape[1] - nullity
 
 
 def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
@@ -282,7 +285,8 @@ def exact_kernel(
 
     The kernel is taken over the columns outside `fixed_zero_columns` and
     re-embedded with zeros there; a fixed column out of range raises
-    `IndexError`, and a matrix with non-integer entries `ValueError`.
+    `IndexError`, and a matrix that is not 2-D or has non-integer entries
+    `ValueError`.
     Basis vectors are normalized to content-1 integer vectors with positive
     leading entry, ordered by free column, so output is reproducible.
 

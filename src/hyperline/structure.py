@@ -5,14 +5,16 @@ and intersecting edges can be 2-colored with distinct colors; it plays the
 role an even cycle plays among graphs. Collars are recognized directly and
 searched for as sub-hypergraphs.
 
-The search rests on the paper's kernel argument: a collar's signed ±1
-indicator lies in the kernel of the incidence matrix `B`. So an exact
-kernel computation comes first. A zero kernel (`B` of full column rank)
-proves that no collar exists, with no search at all; otherwise only the
-edges in the kernel's support are searched, exhaustively, and
-`max_edges` caps the size of that support, not the edge count. The
-library logs through the stdlib `logging` logger `hyperline.structure`, a
-child of `hyperline`, with no handler attached.
+A collar's witness is its signed ±1 indicator, a plain `tuple[int, ...]`
+with one entry per edge: +1 on one color, -1 on the other and 0 off the
+collar. It lies in the kernel of the incidence matrix `B`, and on a
+`k`-uniform host it is the exact certificate that `-k` is an eigenvalue of
+the line multigraph. So the search computes an exact kernel first. A zero
+kernel (`B` of full column rank) proves that no collar exists, with no
+search at all; otherwise only the edges in the kernel's support are
+searched, exhaustively, and `max_edges` caps the size of that support, not
+the edge count. The library logs through the stdlib `logging` logger
+`hyperline.structure`, a child of `hyperline`, with no handler attached.
 """
 
 from __future__ import annotations
@@ -20,30 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import Hypergraph, is_uniform
 from .matrices import exact_kernel, incidence_matrix, incidence_product
-
-
-@dataclass(frozen=True)
-class CollarWitness:
-    """Edge subset forming a collar, with its proper 2-coloring.
-
-    `connected` records whether the chosen edges form a single component;
-    disconnected collars are accepted but flagged.
-    """
-
-    edge_indices: tuple[int, ...]
-    coloring: Mapping[int, int]
-    connected: bool = True
-
-    def signed_entry(self, i: int) -> int:
-        """+1 for color 1, -1 for color 2, 0 outside the collar."""
-        c = self.coloring.get(i)
-        return 0 if c is None else (1 if c == 1 else -1)
 
 
 @dataclass(frozen=True)
@@ -76,23 +60,17 @@ def regularity_report(h: Hypergraph) -> RegularityReport:
     return RegularityReport(regular, edge_regular, skew, linear, sums)
 
 
-def _two_color(
-    h: Hypergraph, chosen: list[int]
-) -> tuple[dict[int, int] | None, bool]:
-    """BFS 2-coloring of the line graph on the `chosen` edges, component
-    roots colored 1 in ascending index order. Each edge reaches the other
-    chosen edges through its vertices' incidence lists.
-
-    Returns (coloring or None on an odd cycle, single-component flag).
-    """
+def _two_color(h: Hypergraph, chosen: Iterable[int]) -> tuple[int, ...] | None:
+    """BFS 2-coloring of the line graph on the `chosen` edges, as the signed
+    indicator: component roots get +1 in ascending index order, and None
+    marks an odd cycle. Each edge reaches the other chosen edges through its
+    vertices' incidence lists."""
     members = set(chosen)
-    coloring: dict[int, int] = {}
-    components = 0
-    for root in sorted(chosen):
-        if root in coloring:
+    x = [0] * h.m
+    for root in sorted(members):
+        if x[root]:
             continue
-        components += 1
-        coloring[root] = 1
+        x[root] = 1
         queue = deque([root])
         while queue:
             i = queue.popleft()
@@ -100,93 +78,83 @@ def _two_color(
                 for j in h.incidence[v]:
                     if j == i or j not in members:
                         continue
-                    if j not in coloring:
-                        coloring[j] = 3 - coloring[i]
+                    if not x[j]:
+                        x[j] = -x[i]
                         queue.append(j)
-                    elif coloring[j] == coloring[i]:
-                        return None, components == 1
-    return coloring, components <= 1
+                    elif x[j] == x[i]:
+                        return None
+    return tuple(x)
 
 
-def is_collar(h: Hypergraph) -> CollarWitness | None:
+def is_collar(h: Hypergraph) -> tuple[int, ...] | None:
     """Recognize a collar: 2-regular with a 2-colorable line graph.
 
-    Multiplicities are irrelevant to proper coloring, so bipartiteness of
-    the underlying simple line graph is what is checked.
+    Returns the signed indicator over all edges, or None. Multiplicities
+    are irrelevant to proper coloring, so bipartiteness of the underlying
+    simple line graph is what is checked.
     """
     if h.m == 0 or h.n == 0:
         return None
     if any(d != 2 for d in h.degrees):
         return None
-    chosen = list(range(h.m))
-    coloring, connected = _two_color(h, chosen)
-    if coloring is None:
-        return None
-    return CollarWitness(tuple(chosen), coloring, connected)
+    return _two_color(h, range(h.m))
 
 
-def check_collar_witness(h: Hypergraph, witness: CollarWitness) -> tuple[int, ...]:
-    """The witness's signed indicator, once it is verified to be a collar.
+def check_collar_witness(h: Hypergraph, x: Sequence[int]) -> None:
+    """Verify that `x` is the signed indicator of a collar in `h`.
 
-    Every covered vertex must lie in exactly two chosen edges. Each then
-    sees the signs of its two edges, so the coloring is proper exactly when
-    the signed indicator `x` has `B x = 0`, which one incidence product
-    checks; `ValueError` names the first vertex where it fails.
+    `x` needs one entry in {-1, 0, 1} per edge, not all zero. Its support
+    must cover each of its vertices exactly twice (`B|x|` is 0 or 2), and
+    then the signs are a proper coloring exactly when `B x = 0`. Each
+    failure raises `ValueError`; a bad coloring names the first vertex
+    whose two edges share a sign.
     """
-    chosen = sorted(set(witness.edge_indices))
-    if not chosen:
+    if len(x) != h.m:
+        raise ValueError(f"collar witness has {len(x)} entries for {h.m} edges")
+    if any(s not in (-1, 0, 1) for s in x):
+        raise ValueError("collar witness entries must lie in {-1, 0, 1}")
+    if not any(x):
         raise ValueError("empty collar")
-    if chosen[0] < 0 or chosen[-1] >= h.m:
-        raise IndexError("collar edge index out of range")
-    coloring = witness.coloring
-    if set(coloring) != set(chosen) or not all(c in (1, 2) for c in coloring.values()):
-        raise ValueError("coloring invalid: must map exactly the collar edges to {1, 2}")
-    count: dict[int, int] = {}
-    for i in chosen:
-        for v in h.edges[i]:
-            count[v] = count.get(v, 0) + 1
-    if any(c != 2 for c in count.values()):
+    if any(c not in (0, 2) for c in incidence_product(h, [abs(s) for s in x])):
         raise ValueError("not 2-regular on collar vertices")
-    vec = tuple(witness.signed_entry(i) for i in range(h.m))
-    bad = next((v for v, x in enumerate(incidence_product(h, vec)) if x), None)
+    bad = next((v for v, y in enumerate(incidence_product(h, x)) if y), None)
     if bad is not None:
         raise ValueError(
             f"coloring invalid: the collar edges through vertex {h.labels[bad]!r} "
             f"(index {bad}) share a color"
         )
-    return vec
 
 
-def collar_implies_bipartite_check(h: Hypergraph, witness: CollarWitness) -> bool:
+def collar_implies_bipartite_check(h: Hypergraph, x: Sequence[int]) -> bool:
     """For a collar and its witness `is_collar(h)`, assert the line
     multigraph is bipartite (and, for a k-uniform collar, k-regular)."""
-    if witness.edge_indices != tuple(range(h.m)):
+    if len(x) != h.m or not all(x):
         raise ValueError("witness does not cover every edge")
-    a = h.line
-    colors = np.array([witness.coloring[i] for i in range(h.m)])
-    if a[np.equal.outer(colors, colors)].any():
+    signs = np.array(x)
+    if h.line[np.equal.outer(signs, signs)].any():
         return False
     k = is_uniform(h)
-    return k is None or bool((a.sum(axis=1) == k).all())
+    return k is None or bool((h.line.sum(axis=1) == k).all())
 
 
 def find_collar_subhypergraph(
     h: Hypergraph, max_edges: int = 20
-) -> CollarWitness | None:
+) -> tuple[int, ...] | None:
     """Lexicographic search for a collar among edge subsets, within ker B.
 
     A subset qualifies when every vertex it covers lies in exactly two of
     its edges and its line graph is bipartite. Its signed indicator (+1 on
-    one color, -1 on the other) is then a kernel vector of the incidence
-    matrix `B`, so a collar uses only edges on which some kernel vector is
-    non-zero. The search first computes `ker B` exactly: a zero kernel
-    proves that no collar exists. Otherwise subsets of the kernel support
-    are grown in ascending index order, pruned as soon as a vertex would
-    exceed two incidences or a deficient vertex can no longer be
-    completed, and the lexicographically first witness is returned; it is
-    the first among all edge subsets, since every witness and each of its
-    prefixes lie in the support. Supports larger than `max_edges` are
-    refused rather than searched.
+    one color, -1 on the other, 0 off the subset) is then a kernel vector
+    of the incidence matrix `B`, so a collar uses only edges on which some
+    kernel vector is non-zero. The search first computes `ker B` exactly:
+    a zero kernel proves that no collar exists. Otherwise subsets of the
+    kernel support are grown in ascending index order, pruned as soon as a
+    vertex would exceed two incidences or a deficient vertex can no longer
+    be completed, and the signed indicator of the lexicographically first
+    collar is returned as the witness; that collar is the first among all
+    edge subsets, since every collar and each of its prefixes lie in the
+    support. Supports larger than `max_edges` are refused rather than
+    searched.
 
     Each call logs one debug record with `m`, the kernel dimension, the
     support size and the outcome: "zero kernel", "witness found",
@@ -221,7 +189,7 @@ def find_collar_subhypergraph(
     def complete() -> bool:
         return bool(chosen) and all(c == 2 for c in count.values() if c)
 
-    def attempt(start: int) -> CollarWitness | None:
+    def attempt(start: int) -> tuple[int, ...] | None:
         for j in range(start, len(support)):
             if any(c == 1 and last_idx[v] < j for v, c in count.items()):
                 return None  # some covered vertex can never reach two edges
@@ -231,9 +199,9 @@ def find_collar_subhypergraph(
                 count[v] = count.get(v, 0) + 1
             chosen.append(support[j])
             if complete():
-                coloring, connected = _two_color(h, chosen)
-                if coloring is not None:
-                    return CollarWitness(tuple(chosen), coloring, connected)
+                witness = _two_color(h, chosen)
+                if witness is not None:
+                    return witness
                 # any valid superset adds only disjoint edges; the odd cycle stays
             else:
                 found = attempt(j + 1)

@@ -76,14 +76,20 @@ COLLAR3_ORDER = [
 ]
 
 
-def collar3() -> tuple[Hypergraph, dict[int, int]]:
-    """The 3-uniform collar plus its blue(1)/gray(2) edge classes."""
-    edges = []
-    coloring = {}
-    for idx, (color, k) in enumerate(COLLAR3_ORDER):
-        edges.append(COLLAR3_BLUE[k] if color == "blue" else COLLAR3_GRAY[k])
-        coloring[idx] = 1 if color == "blue" else 2
-    return from_label_edges(edges), coloring
+def collar3() -> tuple[Hypergraph, tuple[int, ...]]:
+    """The 3-uniform collar plus its signed indicator: +1 on the blue
+    edges, -1 on the gray ones."""
+    edges = [
+        COLLAR3_BLUE[k] if color == "blue" else COLLAR3_GRAY[k]
+        for color, k in COLLAR3_ORDER
+    ]
+    signs = tuple(1 if color == "blue" else -1 for color, _ in COLLAR3_ORDER)
+    return from_label_edges(edges), signs
+
+
+def support(x) -> tuple[int, ...]:
+    """The edges of a collar witness: the indices of its non-zero entries."""
+    return tuple(i for i, s in enumerate(x) if s)
 
 
 def cycle(n: int) -> Hypergraph:

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from hyperline import CollarWitness, Hypergraph
+from hyperline import Hypergraph
 
 
 def connected_oracle(h: Hypergraph) -> bool:
@@ -104,10 +104,10 @@ def reduce_core_fixpoint(h: Hypergraph) -> Hypergraph:
 
 def _collar_coloring(
     h: Hypergraph, subset: tuple[int, ...]
-) -> tuple[dict[int, int], bool] | None:
-    """The collar coloring of an edge subset, with the least edge of each
-    component colored 1, and whether the subset is one component; None
-    unless the subset is a collar."""
+) -> tuple[tuple[int, ...], bool] | None:
+    """The collar coloring of an edge subset as its signed indicator, with
+    the least edge of each component signed +1, and whether the subset is
+    one component; None unless the subset is a collar."""
     count: dict[int, int] = {}
     for i in subset:
         for v in h.edges[i]:
@@ -116,23 +116,23 @@ def _collar_coloring(
         return None
     sets = {i: set(h.edges[i]) for i in subset}
     adj = {i: [j for j in subset if j != i and sets[i] & sets[j]] for i in subset}
-    color: dict[int, int] = {}
+    sign: dict[int, int] = {}
     components = 0
     for root in subset:
-        if root in color:
+        if root in sign:
             continue
         components += 1
-        color[root] = 1
+        sign[root] = 1
         stack = [root]
         while stack:
             i = stack.pop()
             for j in adj[i]:
-                if j not in color:
-                    color[j] = 3 - color[i]
+                if j not in sign:
+                    sign[j] = -sign[i]
                     stack.append(j)
-                elif color[j] == color[i]:
+                elif sign[j] == sign[i]:
                     return None
-    return color, components == 1
+    return tuple(sign.get(i, 0) for i in range(h.m)), components == 1
 
 
 def collar_oracle(h: Hypergraph) -> tuple[int, ...] | None:
@@ -148,21 +148,22 @@ def collar_oracle(h: Hypergraph) -> tuple[int, ...] | None:
     return None
 
 
-def collar_witness_oracle(h: Hypergraph) -> CollarWitness | None:
-    """`collar_oracle`'s subset with its coloring and connectivity."""
+def collar_witness_oracle(h: Hypergraph) -> tuple[int, ...] | None:
+    """The signed indicator of `collar_oracle`'s subset."""
     subset = collar_oracle(h)
     if subset is None:
         return None
-    return CollarWitness(subset, *_collar_coloring(h, subset))
+    return _collar_coloring(h, subset)[0]
 
 
-def collar_search_unpruned(h: Hypergraph) -> CollarWitness | None:
+def collar_search_unpruned(h: Hypergraph) -> tuple[int, ...] | None:
     """Lexicographic depth-first search over all m edges, not only the
     support of ker B: the route the kernel-pruned search replaced.
 
     Subsets grow in ascending index order and are cut as soon as a vertex
     would lie in three edges or a vertex in one edge can no longer gain a
-    second; the first subset that is a collar is returned.
+    second; the signed indicator of the first subset that is a collar is
+    returned.
     """
     sets = [set(e) for e in h.edges]
     last_idx: dict[int, int] = {}
@@ -172,7 +173,7 @@ def collar_search_unpruned(h: Hypergraph) -> CollarWitness | None:
     count: dict[int, int] = {}
     chosen: list[int] = []
 
-    def attempt(start: int) -> CollarWitness | None:
+    def attempt(start: int) -> tuple[int, ...] | None:
         for j in range(start, h.m):
             if any(c == 1 and last_idx[v] < j for v, c in count.items()):
                 return None
@@ -184,7 +185,7 @@ def collar_search_unpruned(h: Hypergraph) -> CollarWitness | None:
             if all(c == 2 for c in count.values() if c):
                 found = _collar_coloring(h, tuple(chosen))
                 if found is not None:
-                    return CollarWitness(tuple(chosen), *found)
+                    return found[0]
             else:
                 found = attempt(j + 1)
                 if found is not None:

@@ -1,19 +1,21 @@
-"""The CLI's exact output on the demo data, pinned by one digest.
+"""The CLI's exact output, pinned by sha256 digests.
 
 Every subcommand below runs in-process through `cli.main` on each
-`demos/data/*.hg` file; one sha256 covers each call's stdout and exit code,
-so a refactor that changes any printed byte fails here. A third digest
-covers `line` and `info --json` on two larger instances whose line
-multiplicities exceed 1. Subcommands that print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
+`demos/data/*.hg` file; one digest covers each call's stdout and exit code,
+so a refactor that changes any printed byte fails here. Subcommands that
+print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
 out of that digest: their last digits depend on the LAPACK build. A second
-digest covers `check --json` with every float rounded to 6 decimals.
+digest covers `check --json` with every float rounded to 6 decimals. A third
+covers `line` and `info --json` on two larger instances whose line
+multiplicities exceed 1, and a fourth covers `collar` and `collar --search`,
+stdout and stderr, on four small instances.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from hyperline import emit
+from hyperline import Hypergraph, emit
 from hyperline.cli import main
 
 import helpers
@@ -83,4 +85,28 @@ def test_line_output_at_size_is_pinned(capsys, tmp_path):
             digest.update(f"{name} {' '.join(sub)} -> {code}\n{out}".encode())
     assert digest.hexdigest() == (
         "a9e9dec705b58cbd8869229dfa4f8631b5eeae4cc62004e80905d3de6cbfa5e9"
+    )
+
+
+def test_collar_output_on_small_instances_is_pinned(capsys, tmp_path):
+    # the interleaved 4-cycles' first witness is disconnected, so this also
+    # pins a `"connected": false`
+    instances = {
+        "interleaved_four_cycles.hg": helpers.interleaved_four_cycles(),
+        "complete5.hg": helpers.complete_graph(5),
+        "complete6_3.hg": helpers.complete_uniform(6, 3),
+        "c4_pendant.hg": Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]]),
+    }
+    digest = hashlib.sha256()
+    for name, h in instances.items():
+        path = tmp_path / name
+        path.write_text(emit(h))
+        for sub in (("collar",), ("collar", "--search")):
+            code = main([sub[0], str(path), *sub[1:]])
+            captured = capsys.readouterr()
+            digest.update(
+                f"{name} {' '.join(sub)} -> {code}\n{captured.out}{captured.err}".encode()
+            )
+    assert digest.hexdigest() == (
+        "ded5f5e9f181852932c7d159d7ea772262f6b2bfdb2685ed68d934150f5939c4"
     )

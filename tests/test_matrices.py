@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hyperline import (
     incidence_matrix,
     incidence_product,
     certificate_minus_r,
-    check_collar_witness,
     is_collar,
     power_hypergraph,
     rank_corank,
@@ -199,7 +199,7 @@ def test_exact_vectors_are_integer_tuples(collar3):
     assert_int_tuple(incidence_product(c4, exact_kernel(incidence_matrix(c4))[0]))
     assert_int_tuple(certificate_minus_r(helpers.cycle(4)))
     h, _ = collar3
-    assert_int_tuple(check_collar_witness(h, is_collar(h)))
+    assert_int_tuple(is_collar(h))
 
 
 def matrix_rows(entry, rows: int, cols: int):
@@ -350,6 +350,17 @@ def test_exact_routines_refuse_non_integer_entries(mat):
     with pytest.raises(ValueError, match="integer entries"):
         exact_rank(mat)
     with pytest.raises(ValueError, match="integer entries"):
+        exact_kernel(mat)
+
+
+@pytest.mark.parametrize(
+    "mat", [np.array([1, 2]), np.array(3), np.zeros((2, 2, 2), dtype=int)]
+)
+def test_exact_routines_refuse_non_matrix_shapes(mat):
+    message = re.escape(f"need a 2-D matrix, not shape {mat.shape}")
+    with pytest.raises(ValueError, match=message):
+        exact_rank(mat)
+    with pytest.raises(ValueError, match=message):
         exact_kernel(mat)
 
 

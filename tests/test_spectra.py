@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from hyperline import (
     DEFAULT_TOLERANCE,
-    CollarWitness,
     Hypergraph,
     certificate_minus_r,
     check_collar_witness,
@@ -159,32 +158,30 @@ def test_certificate_rejects_unverified_vector(monkeypatch):
 def test_collar_certificate_c4_c6():
     for n in (4, 6):
         h = helpers.cycle(n)
-        witness = is_collar(h)
-        cert = check_collar_witness(h, witness)
-        expected = [1 if i % 2 == 0 else -1 for i in range(n)]
-        assert list(cert) == expected
+        cert = is_collar(h)
+        check_collar_witness(h, cert)
+        assert cert == tuple(1 if i % 2 == 0 else -1 for i in range(n))
         assert is_uniform(h) == 2
 
 
 def test_collar_certificate_collar3(collar3):
-    h, coloring = collar3
-    witness = is_collar(h)
-    cert = check_collar_witness(h, witness)
+    h, signs = collar3
+    cert = is_collar(h)
+    check_collar_witness(h, cert)
     assert is_uniform(h) == 3
-    signs = list(cert)
-    assert all(s in (1, -1) for s in signs)
-    assert signs == [1 if coloring[i] == 1 else -1 for i in range(h.m)]
+    assert cert == signs
+    assert all(s in (1, -1) for s in cert)
     assert not (dense_incidence(h) @ cert).any()
     assert eigenvalues_symmetric(h.line).contains(-3.0, 1e-7)
 
 
 def test_collar_certificate_rejects_bad_witness():
-    # bad colorings and uncovered vertices: test_check_collar_witness_errors
+    # bad signs and uncovered vertices: test_check_collar_witness_errors
     h = helpers.cycle(4)
     with pytest.raises(ValueError, match="empty collar"):
-        check_collar_witness(h, CollarWitness((), {}))
-    with pytest.raises(IndexError, match="out of range"):
-        check_collar_witness(h, CollarWitness((0, 4), {0: 1, 4: 2}))
+        check_collar_witness(h, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="0 entries for 4 edges"):
+        check_collar_witness(h, ())
 
 
 def test_sandwich_trio(trio):

@@ -3,8 +3,8 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import numpy as np
 from hyperline import (
-    CollarWitness,
     Hypergraph,
     collar_implies_bipartite_check,
     check_collar_witness,
@@ -12,12 +12,18 @@ from hyperline import (
     find_collar_subhypergraph,
     incidence_matrix,
     is_collar,
+    multigraph_is_connected,
     regularity_report,
 )
 
 import helpers
 import strategies
-from oracles import collar_oracle, collar_search_unpruned, collar_witness_oracle
+from oracles import (
+    _collar_coloring,
+    collar_oracle,
+    collar_search_unpruned,
+    collar_witness_oracle,
+)
 
 
 def test_regularity_cycle():
@@ -65,19 +71,14 @@ def test_skew_family_both_sides_true(skew_family):
 
 
 def test_is_collar_cycles():
-    w = is_collar(helpers.cycle(4))
-    assert w is not None
-    assert w.coloring == {0: 1, 1: 2, 2: 1, 3: 2}
+    assert is_collar(helpers.cycle(4)) == (1, -1, 1, -1)
     assert is_collar(helpers.cycle(3)) is None
     assert is_collar(helpers.path(4)) is None  # endpoint degrees are 1
 
 
 def test_is_collar_collar3(collar3):
-    h, coloring = collar3
-    w = is_collar(h)
-    assert w is not None
-    assert dict(w.coloring) == coloring
-    assert w.connected
+    h, signs = collar3
+    assert is_collar(h) == signs
 
 
 def test_collar_iff_even_cycle_for_graphs():
@@ -99,29 +100,30 @@ def test_collar_bipartite_check(collar3):
 
 
 def test_check_collar_witness_errors():
-    h = helpers.cycle(4)
-    with pytest.raises(ValueError, match="not 2-regular"):
-        check_collar_witness(h, CollarWitness((0, 1), {0: 1, 1: 2}))
-    with pytest.raises(ValueError, match="coloring invalid"):
-        check_collar_witness(h, CollarWitness((0, 1, 2, 3), {0: 1, 1: 1, 2: 2, 3: 2}))
-    with pytest.raises(ValueError, match="coloring invalid"):
-        check_collar_witness(h, CollarWitness((0, 1, 2, 3), {0: 1, 1: 2, 2: 1}))
-    # 2-regular and alternately colored, so the odd cycle clashes at one vertex
+    c4 = helpers.cycle(4)
+    k4 = helpers.complete_graph(4)  # vertex 0 lies in edges 0, 1 and 2
+    # 2-regular and alternately signed, so the odd cycle clashes at one vertex
     c5 = Hypergraph(list("abcde"), [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
-    alternate = CollarWitness(tuple(range(5)), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
-    with pytest.raises(ValueError, match=r"through vertex 'a' \(index 0\) share a color"):
-        check_collar_witness(c5, alternate)
-    shifted = CollarWitness(tuple(range(5)), {0: 2, 1: 1, 2: 2, 3: 1, 4: 1})
-    with pytest.raises(ValueError, match=r"through vertex 'e' \(index 4\) share a color"):
-        check_collar_witness(c5, shifted)
+    refusals = [
+        (c4, (1, -1, 1), "3 entries for 4 edges"),
+        (c4, (1, -1, 1, -1, 0), "5 entries for 4 edges"),
+        (c4, (2, -1, 1, -1), "must lie in"),
+        (c4, (0, 0, 0, 0), "empty collar"),
+        (c4, (1, -1, 0, 0), "not 2-regular"),  # vertices 0 and 2 in one edge
+        (k4, (1, -1, 1, -1, 1, -1), "not 2-regular"),
+        (c4, (1, 1, -1, -1), "coloring invalid"),
+        (c5, (1, -1, 1, -1, 1), r"through vertex 'a' \(index 0\) share a color"),
+        (c5, (-1, 1, -1, 1, 1), r"through vertex 'e' \(index 4\) share a color"),
+    ]
+    for h, x, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            check_collar_witness(h, x)
+    check_collar_witness(c4, (-1, 1, -1, 1))
 
 
 def test_find_collar_c4_plus_pendant():
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]])
-    w = find_collar_subhypergraph(h)
-    assert w is not None
-    assert w.edge_indices == (0, 1, 2, 3)
-    assert w.coloring == {0: 1, 1: 2, 2: 1, 3: 2}
+    assert find_collar_subhypergraph(h) == (1, -1, 1, -1, 0)
 
 
 def test_find_collar_triangle_none():
@@ -135,7 +137,7 @@ def test_find_collar_collar3_with_extras(collar3):
     host = Hypergraph(labels, edges)
     w = find_collar_subhypergraph(host)
     assert w is not None
-    assert w.edge_indices == tuple(range(14))
+    assert helpers.support(w) == tuple(range(14))
 
 
 def test_find_collar_cap():
@@ -154,7 +156,7 @@ def test_find_collar_matches_oracle(h):
         assert w is None
     else:
         assert w is not None
-        assert w.edge_indices == expected  # both are lexicographically first
+        assert helpers.support(w) == expected  # both are lexicographically first
         check_collar_witness(h, w)
 
 
@@ -169,10 +171,17 @@ def test_find_collar_matches_oracle(h):
 @example(helpers.odd_bicycle())
 @example(helpers.bowtie())
 @example(helpers.interleaved_four_cycles())
+@example(helpers.complete_graph(5))  # kernel dimension 5, witness on (0, 1, 5, 7)
+@example(helpers.complete_uniform(5, 3))  # kernel dimension 5, no collar
 def test_find_collar_matches_unpruned_search(h):
     w = find_collar_subhypergraph(h, max_edges=h.m)
     assert w == collar_search_unpruned(h)
     assert w == collar_witness_oracle(h)
+    if w is not None:
+        # the CLI's "connected" flag, against the oracle's component count
+        s = list(helpers.support(w))
+        connected = _collar_coloring(h, tuple(s))[1]
+        assert multigraph_is_connected(h.line[np.ix_(s, s)]) == connected
 
 
 @pytest.mark.parametrize("h", [helpers.odd_bicycle(), helpers.bowtie()])
@@ -188,11 +197,9 @@ def test_find_collar_first_witness_may_be_disconnected():
     # a search split by line-graph component would return (0, 2, 4, 6)
     h = helpers.interleaved_four_cycles()
     w = find_collar_subhypergraph(h)
-    assert w is not None
-    assert w.edge_indices == tuple(range(8))
-    assert w.connected is False
-    assert w.coloring == {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2}
-    assert w.edge_indices == collar_oracle(h)
+    assert w == (1, 1, -1, -1, 1, 1, -1, -1)
+    assert not multigraph_is_connected(h.line)
+    assert helpers.support(w) == collar_oracle(h)
 
 
 def test_find_collar_cap_counts_kernel_support():
@@ -202,7 +209,7 @@ def test_find_collar_cap_counts_kernel_support():
         list(path.edges) + [(29, 30), (30, 31), (31, 32), (32, 29)], n=33
     )
     w = find_collar_subhypergraph(with_c4, max_edges=4)
-    assert w is not None and w.edge_indices == (29, 30, 31, 32)
+    assert w is not None and helpers.support(w) == (29, 30, 31, 32)
     with pytest.raises(ValueError, match="exceeds search cap"):
         find_collar_subhypergraph(with_c4, max_edges=3)
 
@@ -235,4 +242,5 @@ def test_is_collar_witness_sound(h):
     w = is_collar(h)
     if w is not None:
         assert all(d == 2 for d in h.degrees)
-        assert check_collar_witness(h, w) == tuple(map(w.signed_entry, range(h.m)))
+        assert all(s in (1, -1) for s in w)
+        check_collar_witness(h, w)
