@@ -4,7 +4,8 @@ Cloning every vertex t times and padding each edge with k - rt fresh
 degree-one vertices scales the line multigraph by t and shifts the Gram
 diagonal by k - rt; the whole signless-Laplacian spectrum of the power
 follows from the base spectrum without touching the (much larger)
-constructed matrix. The demo builds the construction anyway and checks.
+constructed matrix. A power is fully described by the base and the two
+integers t and k. The demo builds the construction anyway and checks.
 """
 
 from pathlib import Path
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from hyperline import (
-    PowerParams,
     eigenvalues_symmetric,
     parse_path,
     power_hypergraph,
@@ -24,8 +24,7 @@ from hyperline import (
 DATA = Path(__file__).parent / "data"
 
 p4 = parse_path(DATA / "p4.hg")
-params = PowerParams(t=2, k=5)
-powered = power_hypergraph(p4, params)
+powered = power_hypergraph(p4, t=2, k=5)
 
 print("base: path on 4 vertices, rank 2")
 print("power (t=2, k=5) edges:")
@@ -34,7 +33,7 @@ for labels in powered.edge_label_sets():
 print("vertices:", powered.n, "(= t*n + m*(k - r*t) = 8 + 3)")
 
 # the line multigraph is exactly the base's, doubled
-assert power_line_invariance_check(p4, params)
+assert power_line_invariance_check(p4, t=2, k=5)
 assert np.array_equal(powered.line, 2 * p4.line)
 print("line multigraph of the power = 2 * line multigraph of the base")
 

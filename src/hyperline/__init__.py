@@ -49,7 +49,7 @@ from .structure import (
     is_collar,
     regularity_report,
 )
-from .power import PowerParams, power_hypergraph, power_line_invariance_check
+from .power import power_hypergraph, power_line_invariance_check
 from .checks import CheckEntry, CheckReport, run_all_checks
 from .generate import generate_hypergraph
 from .io import HypergraphParseError, emit, parse_path, parse_text

@@ -25,7 +25,7 @@ from .core import (
 )
 from .line import line_degree_formula, line_edge_count
 from .matrices import gram_identity_check
-from .power import PowerParams, power_line_invariance_check
+from .power import power_line_invariance_check
 from .spectra import (
     DEFAULT_TOLERANCE,
     certificate_minus_r,
@@ -253,12 +253,11 @@ def run_all_checks(
         ok = ok and tight == homogeneous
     entries.append(CheckEntry("degree-sum-bounds", ok, details, tolerance))
 
-    params = PowerParams(t=2, k=2 * r)
     entries.append(
         CheckEntry(
             "power-line-invariance",
-            power_line_invariance_check(h, params),
-            {"t": params.t, "k": params.k},
+            power_line_invariance_check(h, 2, 2 * r),
+            {"t": 2, "k": 2 * r},
         )
     )
 

@@ -25,7 +25,7 @@ from .core import (
 )
 from .generate import generate_hypergraph
 from .io import emit, parse_path
-from .power import PowerParams, power_hypergraph
+from .power import padding, power_hypergraph
 from .spectra import (
     DEFAULT_TOLERANCE,
     eigenvalues_symmetric,
@@ -189,10 +189,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_power(args) -> int:
     h = parse_path(args.file)
-    params = PowerParams(t=args.t, k=args.k)
-    powered = power_hypergraph(h, params, uniform_pad=args.uniform_pad)
+    padding(h, args.t, args.k)  # refuse bad t, k before any other error
     if args.spectrum is None:
-        sys.stdout.write(emit(powered))
+        sys.stdout.write(emit(power_hypergraph(h, args.t, args.k, args.uniform_pad)))
         return 0
     out = {}
     if args.spectrum in ("formula", "both"):
@@ -204,6 +203,7 @@ def _cmd_power(args) -> int:
             )
         out["formula"] = power_spectrum_formula(h, args.t, args.k, args.tol).to_json_dict()
     if args.spectrum in ("direct", "both"):
+        powered = power_hypergraph(h, args.t, args.k, args.uniform_pad)
         out["direct"] = signless_spectrum(powered, args.tol).to_json_dict()
     print(json.dumps(out, indent=2))
     return 0

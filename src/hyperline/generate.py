@@ -16,7 +16,8 @@ fixed seed.
 Sizes that admit no connected simple hypergraph are refused before any
 draw: fewer edges than can cover n vertices, or more than an antichain of
 sets of size 2..min(max_card, n) can hold, which by the LYM inequality is
-at most the largest binomial coefficient C(n, k) in that range.
+at most the largest binomial coefficient C(n, k) in that range. Binomials
+are unimodal in k, so that is the one C(n, k) with k nearest n // 2.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
             f"no connected hypergraph with n={n}, m={m}, max_card={max_card}: "
             f"m * (min(max_card, n) - 1) = {m * (top - 1)} < n - 1 = {n - 1}"
         )
-    widest = max(comb(n, k) for k in range(2, top + 1))
+    # C(n, k) rises up to k = n // 2 and falls after it
+    widest = comb(n, max(2, min(top, n // 2)))
     if m > widest:
         raise ValueError(
             f"no simple hypergraph with n={n}, m={m}, max_card={max_card}: "

@@ -1,41 +1,31 @@
 """General power hypergraphs: vertex expansion plus hyperedge padding.
 
-Every base vertex is replaced by t clones sharing its incidences, then
-every edge receives q = k - rt fresh degree-one vertices. The line
+The power H^(t,k) of a base H of rank r is fixed by two integers: every
+base vertex is replaced by t >= 1 clones sharing its incidences, then
+every edge receives q = k - rt >= 0 fresh degree-one vertices. The line
 multigraph of the result is exactly the base's scaled by t, since clones
 multiply intersections and padding never intersects anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Hypergraph, rank_corank
 
 
-@dataclass(frozen=True)
-class PowerParams:
-    """Expansion factor t >= 1 and target rank k; q = k - rt is derived
-    against the base's rank and must be non-negative."""
-
-    t: int
-    k: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"expansion factor must be >= 1, got {self.t}")
-
-    def padding(self, rank: int) -> int:
-        q = self.k - rank * self.t
-        if q < 0:
-            raise ValueError(f"k < rt: k={self.k}, r*t={rank * self.t}")
-        return q
+def padding(base: Hypergraph, t: int, k: int) -> int:
+    """q = k - rt for the power of `base`; refuses t < 1, then k < rt."""
+    if t < 1:
+        raise ValueError(f"expansion factor must be >= 1, got {t}")
+    r, _ = rank_corank(base)
+    if k < r * t:
+        raise ValueError(f"k < rt: k={k}, r*t={r * t}")
+    return k - r * t
 
 
 def power_hypergraph(
-    base: Hypergraph, params: PowerParams, uniform_pad: bool = False
+    base: Hypergraph, t: int, k: int, uniform_pad: bool = False
 ) -> Hypergraph:
     """Construct the general power of `base`.
 
@@ -46,9 +36,7 @@ def power_hypergraph(
     exactly k vertices instead, which forces k-uniformity while leaving the
     line multigraph identical.
     """
-    r, _ = rank_corank(base)
-    q = params.padding(r)
-    t = params.t
+    q = padding(base, t, k)
     labels: list[str] = []
     clone: list[list[int]] = []
     for v in range(base.n):
@@ -60,7 +48,7 @@ def power_hypergraph(
     edges = []
     for j, e in enumerate(base.edges):
         members = [c for v in e for c in clone[v]]
-        pad = params.k - len(members) if uniform_pad else q
+        pad = k - len(members) if uniform_pad else q
         for c in range(pad):
             members.append(len(labels))
             labels.append(f"_pow_{j}_{c}")
@@ -68,9 +56,9 @@ def power_hypergraph(
     return Hypergraph(labels, edges)
 
 
-def power_line_invariance_check(base: Hypergraph, params: PowerParams) -> bool:
+def power_line_invariance_check(base: Hypergraph, t: int, k: int) -> bool:
     """True iff the power's line multigraph equals the base's scaled by t.
 
     Holds by construction; a False return signals an implementation bug.
     """
-    return np.array_equal(power_hypergraph(base, params).line, params.t * base.line)
+    return np.array_equal(power_hypergraph(base, t, k).line, t * base.line)

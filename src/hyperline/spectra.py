@@ -11,6 +11,9 @@ Kernel certificates prove that -r (r the rank) is an eigenvalue of the line
 adjacency matrix without any tolerance: a non-zero integer vector in the
 incidence kernel, supported on the largest-cardinality edges, is such a
 proof, and conversely none exists when -r is not an eigenvalue.
+
+The power H^(t,k) has a closed-form spectrum from the base's and the two
+integers t and k alone (`power_spectrum_formula`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .matrices import (
     incidence_product,
     signless_laplacian,
 )
-from .power import PowerParams
+from .power import padding
 
 DEFAULT_TOLERANCE = 1e-9
 # eigenvalues closer than this multiple of the tolerance get grouped
@@ -140,8 +143,7 @@ def power_spectrum_formula(
     power's spectrum is t*lambda_i + q, then q with multiplicity m - p,
     then zeros filling up to t*n + m*q values.
     """
-    r, _ = rank_corank(base)
-    q = PowerParams(t, k).padding(r)
+    q = padding(base, t, k)
     n, m = base.n, base.m
     p = exact_rank(incidence_matrix(base))
     base_spec = signless_spectrum(base, tolerance)

@@ -184,34 +184,34 @@ def find_collar_subhypergraph(
         for v in e:
             last_idx[v] = j
     count: dict[int, int] = {}
-    chosen: list[int] = []
-
-    def complete() -> bool:
-        return bool(chosen) and all(c == 2 for c in count.values() if c)
-
-    def attempt(start: int) -> tuple[int, ...] | None:
-        for j in range(start, len(support)):
-            if any(c == 1 and last_idx[v] < j for v, c in count.items()):
-                return None  # some covered vertex can never reach two edges
-            if any(count.get(v, 0) >= 2 for v in sets[j]):
-                continue
+    stack: list[int] = []  # positions in `support` of the chosen edges
+    j = 0
+    while True:
+        if j == len(support) or any(
+            c == 1 and last_idx[v] < j for v, c in count.items()
+        ):
+            # past the last edge, or a covered vertex no later edge meets: back up
+            if not stack:
+                witness = None
+                break
+        elif any(count.get(v, 0) >= 2 for v in sets[j]):
+            j += 1
+            continue
+        else:
             for v in sets[j]:
                 count[v] = count.get(v, 0) + 1
-            chosen.append(support[j])
-            if complete():
-                witness = _two_color(h, chosen)
-                if witness is not None:
-                    return witness
-                # any valid superset adds only disjoint edges; the odd cycle stays
-            else:
-                found = attempt(j + 1)
-                if found is not None:
-                    return found
-            chosen.pop()
-            for v in sets[j]:
-                count[v] -= 1
-        return None
+            stack.append(j)
+            if not all(c == 2 for c in count.values() if c):
+                j += 1
+                continue
+            witness = _two_color(h, [support[i] for i in stack])
+            if witness is not None:
+                break
+            # any valid superset adds only disjoint edges; the odd cycle stays
+        j = stack.pop()  # drop the last chosen edge and try the next
+        for v in sets[j]:
+            count[v] -= 1
+        j += 1
 
-    witness = attempt(0)
     log("exhaustive over support" if witness is None else "witness found")
     return witness

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hyperline import (
-    PowerParams,
     certificate_minus_r,
     check_collar_witness,
     collar_implies_bipartite_check,
@@ -253,7 +252,7 @@ def test_criterion_08_power_spectrum():
         n, m = base.n, base.m
         p = exact_rank(incidence_matrix(base))
         formula = power_spectrum_formula(base, t, k).eigenvalues
-        powered = power_hypergraph(base, PowerParams(t, k))
+        powered = power_hypergraph(base, t, k)
         direct = eigenvalues_symmetric(signless_laplacian(powered)).eigenvalues
         tag = f"{name} t={t} k={k}"
         if not close_multisets(formula, direct, 1e-7):
@@ -278,7 +277,7 @@ def test_criterion_08_power_spectrum():
 def test_criterion_09_line_invariance(bundles):
     failures = []
     for name, base, r, t, k in power_cases():
-        powered = power_hypergraph(base, PowerParams(t, k))
+        powered = power_hypergraph(base, t, k)
         if not np.array_equal(powered.line, t * base.line):
             failures.append(f"{name} t={t} k={k}: line not scaled by t")
     for item in bundles:

@@ -18,7 +18,6 @@ from hyperline import (
     validate,
     zagreb_index,
     power_hypergraph,
-    PowerParams,
     signless_laplacian,
 )
 
@@ -140,7 +139,7 @@ def test_rank_corank_mixed():
 
 
 def test_rank_corank_power_of_path():
-    powered = power_hypergraph(helpers.path(4), PowerParams(t=2, k=5))
+    powered = power_hypergraph(helpers.path(4), t=2, k=5)
     assert rank_corank(powered) == (5, 5)
 
 

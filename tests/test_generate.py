@@ -63,6 +63,27 @@ def test_sizes_beyond_the_antichain_bound_are_refused_at_once(
         generate_hypergraph(n, m, max_card, seed=0)
 
 
+def test_antichain_bound_is_the_largest_binomial():
+    for n in range(2, 61):
+        for max_card in range(2, n + 2):
+            widest = max(math.comb(n, k) for k in range(2, min(max_card, n) + 1))
+            with pytest.raises(ValueError, match=rf"m <= max C\(n, k\) = {widest}$"):
+                generate_hypergraph(n, widest + 1, max_card, seed=0)
+
+
+def test_antichain_refusal_computes_one_binomial(monkeypatch):
+    calls = []
+
+    def counted_comb(n, k):
+        calls.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(generate, "comb", counted_comb)
+    with pytest.raises(ValueError, match="antichain"):
+        generate_hypergraph(4000, 10**1300, 4000, seed=0)
+    assert calls == [(4000, 2000)]
+
+
 @pytest.mark.parametrize("n, m, max_card", [(4, 6, 2), (5, 10, 3), (4, 6, 4)])
 def test_sizes_at_the_antichain_bound_generate(n, m, max_card):
     h = generate_hypergraph(n, m, max_card, seed=0)

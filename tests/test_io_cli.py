@@ -12,7 +12,6 @@ from hyperline import (
     emit,
     parse_text,
     power_hypergraph,
-    PowerParams,
 )
 from hyperline.cli import main
 
@@ -62,7 +61,7 @@ def test_emit_round_trip(trio):
 
 
 def test_emit_round_trip_power_labels():
-    powered = power_hypergraph(helpers.path(4), PowerParams(2, 5))
+    powered = power_hypergraph(helpers.path(4), 2, 5)
     again = parse_text(emit(powered))
     assert again.n == powered.n
     assert same_up_to_label_order(again, powered)
@@ -262,6 +261,30 @@ def test_cli_power_uniform_pad_on_non_uniform_base(tmp_path, capsys):
     assert len(spectrum_values(data["direct"])) == 7  # 5 vertices + 2 pads
 
 
+def test_cli_power_uniform_pad_refuses_k_below_rt_first(tmp_path, capsys):
+    # a bad k is reported before the missing --uniform-pad formula
+    mixed = write(tmp_path, "mixed.hg", "a b c\nc d\nd e\n")
+    args = ["power", mixed, "-t", "1", "-k", "2", "--uniform-pad", "--spectrum"]
+    assert main([*args, "formula"]) == 2
+    assert capsys.readouterr().err == "error: k < rt: k=2, r*t=3\n"
+
+
+def test_cli_power_formula_builds_no_power(tmp_path, capsys, monkeypatch):
+    import hyperline.cli as cli
+
+    p4 = write(tmp_path, "p4.hg", emit(helpers.path(4)))
+    args = ["power", p4, "-t", "2", "-k", "5", "--spectrum", "formula"]
+    assert main(args) == 0
+    expected = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula needs no power")
+
+    monkeypatch.setattr(cli, "power_hypergraph", refuse)
+    assert main(args) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_cli_power_uniform_pad_both_on_uniform_base(tmp_path, capsys):
     p4 = write(tmp_path, "p4.hg", emit(helpers.path(4)))
     args = ["power", p4, "-t", "2", "-k", "5", "--uniform-pad", "--spectrum", "both"]
@@ -313,6 +336,15 @@ def test_cli_collar_search_planted_beyond_default_cap(tmp_path, capsys):
     assert data["edges"] == [21, 22, 23, 24]
     assert data["certificate"] == [0] * 21 + [1, -1, 1, -1]
     assert data["connected"] is True
+
+
+def test_cli_collar_search_on_a_long_cycle(tmp_path, capsys):
+    path = write(tmp_path, "c1200.hg", emit(helpers.cycle(1200)))
+    assert main(["collar", path]) == 0
+    recognised = capsys.readouterr()
+    assert main(["collar", path, "--search", "--max-edges", "5000"]) == 0
+    assert capsys.readouterr() == recognised
+    assert json.loads(recognised.out)["certificate"] == [1, -1] * 600
 
 
 def test_cli_collar_search_cap_on_kernel_support(tmp_path, capsys):

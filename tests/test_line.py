@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperline import (
     Hypergraph,
-    PowerParams,
     emit,
     from_multigraph,
     is_connected,
@@ -183,7 +182,7 @@ def test_line_and_linearity_match_all_pairs_circulant():
     [
         helpers.circulant(140, 4),
         helpers.complete_uniform(9, 3),
-        power_hypergraph(helpers.circulant(30, 3), PowerParams(t=2, k=8)),
+        power_hypergraph(helpers.circulant(30, 3), t=2, k=8),
     ],
     ids=["circulant140_4", "complete9_3", "power_t2_circulant30_3"],
 )

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 import hyperline.matrices as matrices
 from hyperline import (
     Hypergraph,
-    PowerParams,
     eigenvalues_symmetric,
     exact_kernel,
     exact_rank,
@@ -169,7 +168,7 @@ def test_q_and_gram_share_nonzero_spectrum(h):
     if h.m:  # an edgeless hypergraph has no rank, so no power
         r, _ = rank_corank(h)
         assert_signless_spectrum_matches_dense_q(
-            power_hypergraph(h, PowerParams(2, 2 * r + 3))
+            power_hypergraph(h, 2, 2 * r + 3)
         )
 
 

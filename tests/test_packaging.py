@@ -4,6 +4,7 @@
 import ast
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,61 @@ def test_test_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert "numpy" in third_party and "pytest" in third_party
     assert sorted(third_party - declared) == []
+
+
+PUBLIC_NAMES = [
+    "CheckEntry",
+    "CheckReport",
+    "DEFAULT_TOLERANCE",
+    "Hypergraph",
+    "HypergraphParseError",
+    "RegularityReport",
+    "Spectrum",
+    "Violation",
+    "certificate_minus_r",
+    "check_collar_witness",
+    "collar_implies_bipartite_check",
+    "eigenvalues_symmetric",
+    "emit",
+    "exact_kernel",
+    "exact_rank",
+    "find_collar_subhypergraph",
+    "from_multigraph",
+    "generate_hypergraph",
+    "gram_identity_check",
+    "incidence_matrix",
+    "incidence_product",
+    "is_collar",
+    "is_connected",
+    "is_uniform",
+    "is_valid",
+    "line_degree_formula",
+    "line_edge_count",
+    "multigraph_is_connected",
+    "parse_path",
+    "parse_text",
+    "power_hypergraph",
+    "power_line_invariance_check",
+    "power_spectrum_formula",
+    "rank_corank",
+    "reduce_core",
+    "regularity_report",
+    "run_all_checks",
+    "signless_laplacian",
+    "signless_spectrum",
+    "uniformize",
+    "validate",
+    "zagreb_index",
+]
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package shows in this list's diff
+    import hyperline
+
+    exported = sorted(
+        name
+        for name, value in vars(hyperline).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES

@@ -14,7 +14,6 @@ from hyperline import (
     is_uniform,
     power_hypergraph,
     power_spectrum_formula,
-    PowerParams,
     rank_corank,
     run_all_checks,
     signless_laplacian,
@@ -253,7 +252,7 @@ def test_power_spectrum_c4_t1_k3():
     expected = [5.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     assert_close_multisets(spec.eigenvalues, expected)
     # cross-check against the constructed power itself
-    powered = power_hypergraph(helpers.cycle(4), PowerParams(1, 3))
+    powered = power_hypergraph(helpers.cycle(4), 1, 3)
     direct = eigenvalues_symmetric(signless_laplacian(powered))
     assert_close_multisets(spec.eigenvalues, direct.eigenvalues)
 
@@ -274,7 +273,7 @@ def test_power_spectrum_matches_direct(h):
     r, _ = rank_corank(h)
     for t, k in ((1, r + 1), (2, 2 * r), (2, 2 * r + 1)):
         formula = power_spectrum_formula(h, t, k)
-        powered = power_hypergraph(h, PowerParams(t, k))
+        powered = power_hypergraph(h, t, k)
         direct = eigenvalues_symmetric(signless_laplacian(powered))
         assert_close_multisets(formula.eigenvalues, direct.eigenvalues, tol=1e-8)
 

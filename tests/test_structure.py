@@ -202,6 +202,13 @@ def test_find_collar_first_witness_may_be_disconnected():
     assert helpers.support(w) == collar_oracle(h)
 
 
+def test_find_collar_has_no_depth_limit():
+    # the witness chooses all 1200 edges, one search level each
+    h = helpers.cycle(1200)
+    w = find_collar_subhypergraph(h, max_edges=1200)
+    assert w is not None and w == is_collar(h)
+
+
 def test_find_collar_cap_counts_kernel_support():
     path = helpers.path(30)  # 29 edges, B of full column rank
     assert find_collar_subhypergraph(path, max_edges=4) is None
