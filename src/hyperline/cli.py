@@ -4,6 +4,9 @@ Subcommands: info, line, spectrum, check, power, collar, generate.
 Exit codes: 0 on success (all checks passing), 1 when a check fails,
 2 on usage, parse or file errors, 141 when the reader of stdout closes it
 early (as in `hyperline line big.hg | head -1`).
+
+The argument parser is built once per process, at import, and reused by
+every `main` call; `build_parser` still returns a fresh one.
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+# argparse keeps no state between parse_args calls, so one parser serves
+# every `main` call in a process
+_PARSER = build_parser()
 
 
 def _cmd_info(args) -> int:
@@ -248,9 +256,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

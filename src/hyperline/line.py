@@ -94,6 +94,12 @@ def from_multigraph(a: np.ndarray) -> Hypergraph:
     hyperedges meet in exactly the parallel edges joining their endpoints.
     Vertices of degree < 2 are rejected: degree 0 leaves an uncoverable
     hyperedge slot and degree 1 yields a cardinality-one hyperedge.
+
+    The result is not always simple. The hyperedge for u lies inside the
+    one for w exactly when every edge at u ends at w: `[[0, 2], [2, 0]]`
+    gives two equal hyperedges, and `[[0, 2, 0], [2, 0, 2], [0, 2, 0]]`
+    two hyperedges nested in the middle one. `validate` reports such pairs
+    and `parse_text` refuses them, while the line multigraph is still `a`.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

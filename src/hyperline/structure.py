@@ -13,8 +13,10 @@ the line multigraph. So the search computes an exact kernel first. A zero
 kernel (`B` of full column rank) proves that no collar exists, with no
 search at all; otherwise only the edges in the kernel's support are
 searched, exhaustively, and `max_edges` caps the size of that support, not
-the edge count. The library logs through the stdlib `logging` logger
-`hyperline.structure`, a child of `hyperline`, with no handler attached.
+the edge count. Within the search, the kernel vectors that vanish on the
+edges a branch skips bound the edges it can still choose. The library
+logs through the stdlib `logging` logger `hyperline.structure`, a child
+of `hyperline`, with no handler attached.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,6 +140,23 @@ def collar_implies_bipartite_check(h: Hypergraph, x: Sequence[int]) -> bool:
     return k is None or bool((h.line.sum(axis=1) == k).all())
 
 
+def _vanish(basis: list[list[int]], j: int) -> list[list[int]]:
+    """An integer basis of the vectors in the span of `basis` with x_j = 0:
+    one fraction-free elimination step, pivoting on the first vector that
+    is non-zero at j, each result divided by its content."""
+    p = next(i for i, vec in enumerate(basis) if vec[j])
+    pivot, a = basis[p], basis[p][j]
+    out = basis[:p]
+    for vec in basis[p + 1:]:
+        if vec[j]:
+            b = vec[j]
+            vec = [a * x - b * y for x, y in zip(vec, pivot)]
+            g = gcd(*vec)
+            vec = [x // g for x in vec]
+        out.append(vec)
+    return out
+
+
 def find_collar_subhypergraph(
     h: Hypergraph, max_edges: int = 20
 ) -> tuple[int, ...] | None:
@@ -148,13 +168,19 @@ def find_collar_subhypergraph(
     of the incidence matrix `B`, so a collar uses only edges on which some
     kernel vector is non-zero. The search first computes `ker B` exactly:
     a zero kernel proves that no collar exists. Otherwise subsets of the
-    kernel support are grown in ascending index order, pruned as soon as a
-    vertex would exceed two incidences or a deficient vertex can no longer
-    be completed, and the signed indicator of the lexicographically first
-    collar is returned as the witness; that collar is the first among all
-    edge subsets, since every collar and each of its prefixes lie in the
-    support. Supports larger than `max_edges` are refused rather than
-    searched.
+    kernel support are grown in ascending index order, and the signed
+    indicator of the lexicographically first collar is returned as the
+    witness; that collar is the first among all edge subsets, since every
+    collar and each of its prefixes lie in the support. Supports larger
+    than `max_edges` are refused rather than searched.
+
+    A branch is cut as soon as a vertex would exceed two incidences or a
+    deficient vertex can no longer be completed. The kernel cuts too: a
+    collar below a branch is zero on every edge the branch skips, so each
+    skip restricts the kernel by one elimination step; an edge outside the
+    restricted kernel's support is skipped without branching, and a branch
+    ends when one of its chosen edges leaves that support. Only branches
+    that hold no collar are cut, so the witness is unchanged.
 
     Each call logs one debug record with `m`, the kernel dimension, the
     support size and the outcome: "zero kernel", "witness found",
@@ -184,33 +210,49 @@ def find_collar_subhypergraph(
         for v in e:
             last_idx[v] = j
     count: dict[int, int] = {}
-    stack: list[int] = []  # positions in `support` of the chosen edges
+    # spans the kernel vectors that vanish on every skipped edge, over `support`
+    basis = [[vec[i] for i in support] for vec in kernel]
+    dead = False  # the current branch is known to hold no collar
+    stack: list[tuple[int, list[list[int]]]] = []  # chosen edges, each with its basis
     j = 0
     while True:
-        if j == len(support) or any(
-            c == 1 and last_idx[v] < j for v, c in count.items()
+        if (
+            dead
+            or j == len(support)
+            or any(c == 1 and last_idx[v] < j for v, c in count.items())
         ):
-            # past the last edge, or a covered vertex no later edge meets: back up
+            # no collar here, past the last edge, or a covered vertex no later
+            # edge meets: back up
             if not stack:
                 witness = None
                 break
-        elif any(count.get(v, 0) >= 2 for v in sets[j]):
-            j += 1
-            continue
-        else:
+            j, basis = stack.pop()  # drop the last chosen edge and skip it
+            dead = False
+            for v in sets[j]:
+                count[v] -= 1
+        elif any(vec[j] for vec in basis) and all(
+            count.get(v, 0) < 2 for v in sets[j]
+        ):
             for v in sets[j]:
                 count[v] = count.get(v, 0) + 1
-            stack.append(j)
+            stack.append((j, basis))
             if not all(c == 2 for c in count.values() if c):
                 j += 1
                 continue
-            witness = _two_color(h, [support[i] for i in stack])
+            witness = _two_color(h, [support[i] for i, _ in stack])
             if witness is not None:
                 break
             # any valid superset adds only disjoint edges; the odd cycle stays
-        j = stack.pop()  # drop the last chosen edge and try the next
-        for v in sets[j]:
-            count[v] -= 1
+            dead = True
+            continue
+        # edge j is skipped, so every collar below this branch has x_j = 0;
+        # an edge outside the support of `basis` is skipped with no change
+        if any(vec[j] for vec in basis):
+            basis = _vanish(basis, j)
+            # a collar is non-zero on each chosen edge
+            dead = not basis or any(
+                not any(vec[c] for vec in basis) for c, _ in stack
+            )
         j += 1
 
     log("exhaustive over support" if witness is None else "witness found")

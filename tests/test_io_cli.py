@@ -393,6 +393,69 @@ def test_cli_usage_errors(capsys):
     assert main(["power", "x.hg", "-t", "2"]) == 2  # missing -k
 
 
+def run_main(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    ("between", "code", "again"),
+    [
+        (
+            ["power", "MIXED", "-t", "2", "-k", "8", "--uniform-pad"],
+            0,
+            ["power", "MIXED", "-t", "2", "-k", "8"],
+        ),
+        (
+            ["collar", "K63", "--search", "--max-edges", "3"],
+            2,
+            ["collar", "K63", "--search"],
+        ),
+        (["check", "MIXED", "--json"], 0, ["check", "MIXED"]),
+        (["line", "MIXED", "--format", "matrix"], 0, ["line", "MIXED"]),
+        (["check"], 2, ["check", "MIXED"]),
+        (["power", "--help"], 0, ["--help"]),
+        (["--help"], 0, ["power", "--help"]),
+    ],
+)
+def test_cli_shared_parser_carries_nothing_between_calls(
+    tmp_path, capsys, between, code, again
+):
+    # `main` reuses one parser, so a call must not see its predecessor's
+    # options: `again`, run before and after `between`, prints the same
+    files = {
+        "MIXED": write(tmp_path, "mixed.hg", "a b c\nc d\nd e\n"),
+        "K63": write(tmp_path, "k63.hg", emit(helpers.complete_uniform(6, 3))),
+    }
+    between = [files.get(a, a) for a in between]
+    again = [files.get(a, a) for a in again]
+    alone = run_main(again, capsys)
+    other = run_main(between, capsys)
+    assert other[0] == code
+    assert other != alone  # the pair tells the two calls apart
+    assert run_main(again, capsys) == alone
+
+
+def test_cli_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write(tmp_path, "p4.hg", emit(helpers.path(4)))
+    assert main(["info", path]) == 0
+    assert main(["line", path, "--format", "json"]) == 0
+    assert main(["generate", "--n", "6", "--m", "4", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
 def test_cli_import_loads_no_heavy_modules():
     # sympy and fractions are test-only; logging is imported lazily by the
     # collar search, so that startup stays flat

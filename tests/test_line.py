@@ -17,6 +17,7 @@ from hyperline import (
     reduce_core,
     uniformize,
     is_uniform,
+    validate,
 )
 from hyperline.structure import regularity_report
 
@@ -133,6 +134,23 @@ def test_from_multigraph_rejects_low_degree():
         from_multigraph(adjacency(3, {(0, 1): 2, (1, 2): 1}))
     with pytest.raises(ValueError, match="isolated"):
         from_multigraph(adjacency(3, {(0, 1): 2}))
+
+
+@pytest.mark.parametrize(
+    ("a", "rule"),
+    [
+        (adjacency(2, {(0, 1): 2}), "duplicate-edge"),
+        (adjacency(3, {(0, 1): 2, (1, 2): 2}), "nested-edge"),
+    ],
+)
+def test_from_multigraph_can_return_a_non_simple_hypergraph(a, rule):
+    # every edge at a vertex ends at one neighbour: its hyperedge lies in
+    # that neighbour's, yet the line multigraph is still exact
+    h = from_multigraph(a)
+    assert np.array_equal(h.line, a)
+    assert {v.rule for v in validate(h)} == {rule}
+    with pytest.raises(ValueError):
+        parse_text(emit(h))
 
 
 @settings(deadline=None)
