@@ -142,10 +142,11 @@ def validate(h: Hypergraph) -> list[Violation]:
     out: list[Violation] = []
     # keyed by raw entries, not h.incidence, which rejects stray indices
     through: dict[int, set[int]] = {}
+    n = h.n
     for i, e in enumerate(h.edges):
         for v in e:
             through.setdefault(v, set()).add(i)
-        bad = [v for v in e if not 0 <= v < h.n]
+        bad = [v for v in e if not 0 <= v < n]
         if bad:
             out.append(
                 Violation(
@@ -175,7 +176,7 @@ def validate(h: Hypergraph) -> list[Violation]:
         for j in sorted(holders):
             if len(h.edges[j]) > len(e):
                 out.append(Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j)))
-    for v in range(h.n):
+    for v in range(n):
         if v not in through:
             out.append(
                 Violation(

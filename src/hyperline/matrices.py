@@ -14,9 +14,10 @@ Floating point appears only downstream, in the eigensolver.
   exact product. A vector that passes proves its free column free over
   the rationals as well, so the basis is the one exact elimination gives.
   When the check cannot pass (an unlucky prime, an entry past that bound,
-  or a matrix beyond `int64`), fraction-free Gauss-Jordan elimination
-  (Bareiss) on Python integers computes the kernel instead. `exact_rank` is the
-  column count less the kernel dimension.
+  or a matrix beyond `int64`), `vanish` computes the kernel instead on
+  Python integers: the one fraction-free elimination step, which the
+  collar search also uses to restrict `ker B`. `exact_rank` is the column
+  count less the kernel dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
@@ -74,61 +75,37 @@ def gram_identity_check(h: Hypergraph) -> bool:
     return listed and sum(mults) == line_edge_count(h)
 
 
-def _row_reduce(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+def vanish(basis: list[list[int]], j: int) -> list[list[int]]:
+    """An integer basis of the vectors in the span of `basis` with x_j = 0:
+    one fraction-free elimination step, pivoting on the first vector that
+    is non-zero at j, each result divided by its content."""
+    p = next(i for i, vec in enumerate(basis) if vec[j])
+    pivot, a = basis[p], basis[p][j]
+    out = basis[:p]
+    for vec in basis[p + 1:]:
+        if vec[j]:
+            b = vec[j]
+            vec = [a * x - b * y for x, y in zip(vec, pivot)]
+            g = gcd(*vec)
+            vec = [x // g for x in vec]
+        out.append(vec)
+    return out
 
-    Returns the pivot columns, chosen as the first non-zero entry of each
-    column, as in the rational reduced row echelon form. Every division is
-    exact. On return the rows are that reduced form scaled by the last
-    pivot `d`: pivot row r holds `d` at column pivots[r] and 0 at every
-    other pivot column.
+
+def _kernel_fraction_free(a: np.ndarray) -> list[list[int]]:
+    """Integer kernel basis of `a` by `vanish`, one vector per free column.
+
+    Column c of `[a; I]` starts as the vector `(a e_c, e_c)`. Each row
+    coordinate vanishes in turn, and the `I` part of what is left is the
+    kernel. A vector combines only with pivots from earlier columns, so each
+    is the rational basis vector of its free column, up to scale.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in row]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
-
-
-def _kernel_bareiss(rows: list[list[int]], n_cols: int) -> list[list[int]]:
-    """Integer kernel basis by `_row_reduce`, one vector per free column."""
-    pivots = _row_reduce(rows)
-    # every pivot row holds the same pivot value d, so d times the rational
-    # basis vector for free column f is integral
-    d = rows[0][pivots[0]] if pivots else 1
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(n_cols):
-        if f in pivot_set:
-            continue
-        vec = [0] * n_cols
-        vec[f] = d
-        for r_idx, c in enumerate(pivots):
-            vec[c] = -rows[r_idx][f]
-        vectors.append(vec)
-    return vectors
+    n_rows, n_cols = a.shape
+    basis = np.vstack([a, np.eye(n_cols, dtype=np.int64)]).T.tolist()
+    for j in range(n_rows):
+        if any(vec[j] for vec in basis):
+            basis = vanish(basis, j)
+    return [vec[n_rows:] for vec in basis]
 
 
 class _Uncertified(Exception):
@@ -217,8 +194,8 @@ def _kernel_mod_p(a: np.ndarray) -> list[list[int]]:
     pivot columns before it, over the rationals too, so f is free there as
     well; rank mod p never exceeds the rational rank, so the two pivot sets
     agree and each vector is the unique one with those free coordinates,
-    the one Bareiss elimination gives. Raises `_Uncertified` when `a` has
-    entries beyond `int64`, when an entry does not reconstruct within
+    the one the fraction-free fallback gives. Raises `_Uncertified` when `a`
+    has entries beyond `int64`, when an entry does not reconstruct within
     `isqrt(p // 2)`, or when a vector fails the product.
     """
     if a.dtype == object:
@@ -291,8 +268,8 @@ def exact_kernel(
     leading entry, ordered by free column, so output is reproducible.
 
     The basis comes from elimination modulo a prime, certified by an exact
-    product; when the certificate fails, Bareiss elimination on Python
-    integers computes it instead, and a debug record on the
+    product; when the certificate fails, `vanish` steps on Python integers
+    compute it instead, and a debug record on the
     `hyperline.matrices` logger gives the shape and the reason.
     """
     exact = _exact_entries(matrix)
@@ -311,9 +288,9 @@ def exact_kernel(
         import logging
 
         logging.getLogger(__name__).debug(
-            "exact kernel: %dx%d matrix, Bareiss fallback: %s", *sub.shape, reason
+            "exact kernel: %dx%d matrix, fraction-free fallback: %s", *sub.shape, reason
         )
-        vectors = _kernel_bareiss(sub.tolist(), sub.shape[1])
+        vectors = _kernel_fraction_free(sub)
     if not fixed:
         return [_normalize_integer(vec) for vec in vectors]
     basis: list[tuple[int, ...]] = []

@@ -14,9 +14,10 @@ kernel (`B` of full column rank) proves that no collar exists, with no
 search at all; otherwise only the edges in the kernel's support are
 searched, exhaustively, and `max_edges` caps the size of that support, not
 the edge count. Within the search, the kernel vectors that vanish on the
-edges a branch skips bound the edges it can still choose. The library
-logs through the stdlib `logging` logger `hyperline.structure`, a child
-of `hyperline`, with no handler attached.
+edges a branch skips bound the edges it can still choose; each skip is
+one `matrices.vanish` step, the one the exact kernel's fallback runs.
+The library logs through the stdlib `logging` logger
+`hyperline.structure`, a child of `hyperline`, with no handler attached.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import Hypergraph, is_uniform
-from .matrices import exact_kernel, incidence_matrix, incidence_product
+from .matrices import exact_kernel, incidence_matrix, incidence_product, vanish
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,6 @@ def collar_implies_bipartite_check(h: Hypergraph, x: Sequence[int]) -> bool:
     return k is None or bool((h.line.sum(axis=1) == k).all())
 
 
-def _vanish(basis: list[list[int]], j: int) -> list[list[int]]:
-    """An integer basis of the vectors in the span of `basis` with x_j = 0:
-    one fraction-free elimination step, pivoting on the first vector that
-    is non-zero at j, each result divided by its content."""
-    p = next(i for i, vec in enumerate(basis) if vec[j])
-    pivot, a = basis[p], basis[p][j]
-    out = basis[:p]
-    for vec in basis[p + 1:]:
-        if vec[j]:
-            b = vec[j]
-            vec = [a * x - b * y for x, y in zip(vec, pivot)]
-            g = gcd(*vec)
-            vec = [x // g for x in vec]
-        out.append(vec)
-    return out
-
-
 def find_collar_subhypergraph(
     h: Hypergraph, max_edges: int = 20
 ) -> tuple[int, ...] | None:
@@ -248,7 +231,7 @@ def find_collar_subhypergraph(
         # edge j is skipped, so every collar below this branch has x_j = 0;
         # an edge outside the support of `basis` is skipped with no change
         if any(vec[j] for vec in basis):
-            basis = _vanish(basis, j)
+            basis = vanish(basis, j)
             # a collar is non-zero on each chosen edge
             dead = not basis or any(
                 not any(vec[c] for vec in basis) for c, _ in stack

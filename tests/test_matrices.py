@@ -230,7 +230,7 @@ def int_matrices(draw, max_rows: int = 6, max_cols: int = 7):
 
 @settings(deadline=None, max_examples=300)
 @given(int_matrices())
-def test_bareiss_matches_fraction_rref(case):
+def test_exact_kernel_matches_fraction_rref(case):
     data, fixed = case
     # object entries: the products of 10**12-sized factors exceed int64
     mat = np.array(data, dtype=object)
@@ -243,7 +243,7 @@ def test_bareiss_matches_fraction_rref(case):
         assert got == kernel_oracle(data, cols, zero)
 
 
-def test_bareiss_matches_fraction_rref_without_rows():
+def test_exact_kernel_matches_fraction_rref_without_rows():
     mat = np.zeros((0, 3), dtype=np.int64)
     assert exact_rank(mat) == 0
     got = [list(v) for v in exact_kernel(mat, {1})]
@@ -258,7 +258,7 @@ def fallback_reasons(caplog) -> list[str]:
     ]
 
 
-def test_kernel_falls_back_to_bareiss_when_the_prime_drops_the_rank(
+def test_kernel_falls_back_to_fraction_free_when_the_prime_drops_the_rank(
     monkeypatch, caplog
 ):
     monkeypatch.setattr(matrices, "_PRIME", 2)
@@ -298,11 +298,11 @@ def test_wide_entries_fall_back_to_bareiss(caplog, data, dtype, reason):
     assert fallback_reasons(caplog) == [reason] * 2
 
 
-def test_certified_route_runs_no_bareiss(monkeypatch, caplog):
-    def refuse(rows):
-        raise RuntimeError("Bareiss elimination ran")
+def test_certified_route_runs_no_fraction_free_step(monkeypatch, caplog):
+    def refuse(basis, j):
+        raise RuntimeError("fraction-free elimination ran")
 
-    monkeypatch.setattr(matrices, "_row_reduce", refuse)
+    monkeypatch.setattr(matrices, "vanish", refuse)
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
         assert exact_kernel(incidence_matrix(helpers.cycle(4))) == [(1, -1, 1, -1)]
         # x0 = -2/3 x2: read back by rational reconstruction
@@ -326,15 +326,25 @@ def test_certified_route_runs_no_bareiss(monkeypatch, caplog):
     ids=["circulant60_4", "circulant100_4", "complete9_3", "gen60_40", "gen20_26",
          "gen20_30", "gen60_70"],
 )
-def test_kernel_matches_fraction_rref_at_benchmark_scale(h, dim):
+def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h, dim):
+    def uncertified(a):
+        raise matrices._Uncertified("forced")
+
     b = incidence_matrix(h)
     r = max(len(e) for e in h.edges)
     small = {i for i, e in enumerate(h.edges) if len(e) < r}
-    assert len(exact_kernel(b)) == dim
-    assert exact_rank(b) == h.m - dim
-    for fixed in (set(), small):
-        got = [list(v) for v in exact_kernel(b, fixed)]
-        assert got == kernel_oracle(b.tolist(), h.m, fixed)
+    expected = [kernel_oracle(b.tolist(), h.m, fixed) for fixed in (set(), small)]
+    # the certified route first, then the fraction-free fallback
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(matrices, "_kernel_mod_p", uncertified)
+        with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+            assert len(exact_kernel(b)) == dim
+            assert exact_rank(b) == h.m - dim
+            got = [[list(v) for v in exact_kernel(b, fixed)] for fixed in (set(), small)]
+        assert got == expected
+        assert fallback_reasons(caplog) == ["forced"] * (4 if forced else 0)
+        caplog.clear()
 
 
 @pytest.mark.parametrize(

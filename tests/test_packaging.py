@@ -91,3 +91,13 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def test_one_fraction_free_step():
+    # the exact kernel's fallback and the collar search share one step,
+    # which the package does not export
+    import hyperline.matrices
+    import hyperline.structure
+
+    assert hyperline.structure.vanish is hyperline.matrices.vanish
+    assert not hasattr(hyperline, "vanish")
