@@ -8,7 +8,10 @@ entry means a genuine inconsistency rather than a tolerance artifact.
 The three float claims (the -rank floor, the spectral-radius sandwich and
 the degree-sum window) are decided here and nowhere else: a bound holds
 when it is met to within the caller's tolerance, and is attained when the
-gap to it is at most that tolerance.
+gap to it is at most that tolerance. Attainment is reported, not required:
+where the paper says it holds (a uniform input, and for the window an
+edge-regular one too) the two bounds coincide, so the bound check already
+implies it, and elsewhere a strict gap can lie below any tolerance.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ from .spectra import (
     eigenvalues_symmetric,
     signless_spectrum,
 )
-from .structure import (
-    check_collar_witness,
-    collar_implies_bipartite_check,
-    is_collar,
-    regularity_report,
-)
+from .structure import collar_implies_bipartite_check, is_collar, regularity_report
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def run_all_checks(
     details: dict[str, Any] = {"certificate": cert is not None, "eigenvalue_minus_r": has_eig}
     ok = (cert is not None) == has_eig
     if cert is not None:
-        # certificate_minus_r returns only certificates it verified exactly
+        # exact_kernel certifies the vector certificate_minus_r returns
         details["incidence_kernel_exact"] = True
     entries.append(CheckEntry("minus-rank-certificate-iff", ok, details, tolerance))
 
@@ -209,7 +207,6 @@ def run_all_checks(
             )
         else:
             # on a k-uniform host the signed indicator certifies -k exactly
-            check_collar_witness(h, witness)
             ok = spec_line.contains(-float(uniform), tolerance)
             entries.append(
                 CheckEntry(
@@ -231,9 +228,7 @@ def run_all_checks(
         "uniform": r == s,
     }
     if connected:
-        tight = attained(rho_line, rho_q - r) or attained(rho_line, rho_q - s)
-        details["equality"] = tight
-        ok = ok and tight == (r == s)
+        details["equality"] = attained(rho_line, rho_q - r) or attained(rho_line, rho_q - s)
     entries.append(CheckEntry("spectral-radius-sandwich", ok, details, tolerance))
 
     # edge degree sums bound rho(Q), tight exactly when uniform and edge-regular
@@ -248,9 +243,7 @@ def run_all_checks(
         "uniform_and_edge_regular": homogeneous,
     }
     if connected:
-        tight = attained(rho_q, lower) or attained(rho_q, upper)
-        details["equality"] = tight
-        ok = ok and tight == homogeneous
+        details["equality"] = attained(rho_q, lower) or attained(rho_q, upper)
     entries.append(CheckEntry("degree-sum-bounds", ok, details, tolerance))
 
     entries.append(

@@ -35,12 +35,7 @@ from .spectra import (
     power_spectrum_formula,
     signless_spectrum,
 )
-from .structure import (
-    check_collar_witness,
-    find_collar_subhypergraph,
-    is_collar,
-    regularity_report,
-)
+from .structure import find_collar_subhypergraph, is_collar, regularity_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +221,6 @@ def _cmd_collar(args) -> int:
     if witness is None:
         print("none")
         return 0
-    check_collar_witness(h, witness)
     support = [i for i, s in enumerate(witness) if s]
     data = {
         "edges": support,

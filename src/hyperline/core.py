@@ -132,7 +132,8 @@ def validate(h: Hypergraph) -> list[Violation]:
 
     Errors: cardinality-one edges, nested edges, duplicate edges, vertex
     indices outside 0..n-1. This is the one definition of "simple"; the
-    generator accepts its draws by it too. Nested pairs (i, j), e_i a
+    generator does not call it, since its draws are simple by construction,
+    and its tests check them against it. Nested pairs (i, j), e_i a
     proper subset of e_j, come in ascending order from a per-vertex index
     of the raw entries, in O(Σ_e Σ_{v∈e} d(v)) rather than over all edge
     pairs; an empty edge is nested in every non-empty one. Isolated

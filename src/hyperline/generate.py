@@ -8,10 +8,11 @@ vertex plus enough uncovered ones that all n end up covered. An edge that
 would equal or nest in an earlier one is redrawn; it is found by counting,
 over the per-vertex lists of placed edges, the vertices the new edge shares
 with each of them, so no pair of edges is scanned. A draw whose edge finds
-no simple placement in `EDGE_TRIES` redraws costs one attempt; a finished
-draw is accepted by `is_valid`, the one definition of "simple". After
-`MAX_ATTEMPTS` draws it gives up with `ValueError`. Deterministic for a
-fixed seed.
+no simple placement in `EDGE_TRIES` redraws costs one attempt. A finished
+draw is simple by construction (sizes at least 2, distinct vertices, no
+edge equal to or nested in another), so it is returned without a call to
+`core.validate`. After `MAX_ATTEMPTS` draws it gives up with `ValueError`.
+Deterministic for a fixed seed.
 
 Sizes that admit no connected simple hypergraph are refused before any
 draw: fewer edges than can cover n vertices, or more than an antichain of
@@ -27,7 +28,7 @@ from collections import Counter
 from itertools import chain
 from math import comb
 
-from .core import Hypergraph, is_valid
+from .core import Hypergraph
 
 # redraws of one edge before its draw is abandoned; bounds the time spent
 # on sizes that admit no simple hypergraph
@@ -109,11 +110,8 @@ def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
     labels = [str(i + 1) for i in range(n)]
     for _ in range(MAX_ATTEMPTS):
         edges = _connected_edges(rng, n, _sizes(rng, n, m, top))
-        if edges is None:
-            continue
-        h = Hypergraph(labels, edges)
-        if is_valid(h):
-            return h
+        if edges is not None:
+            return Hypergraph(labels, edges)
     raise ValueError(
         f"could not generate a simple connected hypergraph with "
         f"n={n}, m={m}, max_card={max_card} after {MAX_ATTEMPTS} attempts"

@@ -157,13 +157,16 @@ def find_collar_subhypergraph(
     collar and each of its prefixes lie in the support. Supports larger
     than `max_edges` are refused rather than searched.
 
-    A branch is cut as soon as a vertex would exceed two incidences or a
-    deficient vertex can no longer be completed. The kernel cuts too: a
-    collar below a branch is zero on every edge the branch skips, so each
-    skip restricts the kernel by one elimination step; an edge outside the
-    restricted kernel's support is skipped without branching, and a branch
-    ends when one of its chosen edges leaves that support. Only branches
-    that hold no collar are cut, so the witness is unchanged.
+    A branch is cut as soon as a vertex would exceed two incidences. The
+    kernel cuts the rest: a collar below a branch is zero on every edge the
+    branch skips, so each skip restricts the kernel by one elimination
+    step; an edge outside the restricted kernel's support is skipped
+    without branching, and a branch ends when one of its chosen edges
+    leaves that support. This also ends a branch with a deficient vertex,
+    one covered once and met by no later support edge: once the last other
+    support edge through it is skipped, its row of `B x = 0` forces the
+    chosen edge through it to zero. Only branches that hold no collar are
+    cut, so the witness is unchanged.
 
     Each call logs one debug record with `m`, the kernel dimension, the
     support size and the outcome: "zero kernel", "witness found",
@@ -188,10 +191,6 @@ def find_collar_subhypergraph(
         log("support exceeds cap")
         raise ValueError(f"instance exceeds search cap ({max_edges} edges)")
     sets = [set(h.edges[i]) for i in support]
-    last_idx: dict[int, int] = {}  # position in `support`
-    for j, e in enumerate(sets):
-        for v in e:
-            last_idx[v] = j
     count: dict[int, int] = {}
     # spans the kernel vectors that vanish on every skipped edge, over `support`
     basis = [[vec[i] for i in support] for vec in kernel]
@@ -199,13 +198,8 @@ def find_collar_subhypergraph(
     stack: list[tuple[int, list[list[int]]]] = []  # chosen edges, each with its basis
     j = 0
     while True:
-        if (
-            dead
-            or j == len(support)
-            or any(c == 1 and last_idx[v] < j for v, c in count.items())
-        ):
-            # no collar here, past the last edge, or a covered vertex no later
-            # edge meets: back up
+        if dead or j == len(support):
+            # no collar here, or past the last edge: back up
             if not stack:
                 witness = None
                 break

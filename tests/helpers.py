@@ -139,6 +139,22 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
     return Hypergraph.from_edges(itertools.combinations(range(n), k), n=n)
 
 
+def core_with_tail(core: int, length: int) -> Hypergraph:
+    """Every triple of `core` vertices, with a path of `length` fresh
+    triples hung off vertex 0, each meeting the one before it in one
+    vertex, and one more fresh vertex in the last: connected, simple, rank
+    4 and corank 3. The Perron vector decays along the tail, so the strict
+    gap to the upper spectral-radius bound shrinks exponentially in
+    `length` (about 1e-11 at length 4 on a 6-vertex core)."""
+    edges = [list(t) for t in itertools.combinations(range(core), 3)]
+    joint, fresh = 0, core
+    for _ in range(length):
+        edges.append([joint, fresh, fresh + 1])
+        joint, fresh = fresh + 1, fresh + 2
+    edges[-1].append(fresh)
+    return Hypergraph.from_edges(edges)
+
+
 def pad_edges(h: Hypergraph, pads: dict[int, int]) -> Hypergraph:
     """Add degree-one vertices to the given edges (index -> count)."""
     labels = list(h.labels)

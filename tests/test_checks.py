@@ -7,7 +7,8 @@ import pytest
 import hyperline.checks
 import hyperline.spectra
 import hyperline.structure
-from hyperline import Hypergraph, run_all_checks
+from hyperline import Hypergraph, emit, run_all_checks
+from hyperline.cli import main
 
 import helpers
 from helpers import adjacency, entry_map
@@ -89,6 +90,20 @@ def test_checks_pass_on_full_corpus(corpus):
 def test_checks_pass_on_families(skew_family, equality_family):
     for h in skew_family + equality_family:
         assert run_all_checks(h).passed
+
+
+# the strict upper sandwich gap is 1.8e-11, 1.1e-14 and 3.3e-11 here: at or
+# below the default tolerance, so the bound reads attained although r != s
+@pytest.mark.parametrize("core, length", [(6, 4), (6, 5), (9, 3)])
+def test_checks_pass_when_a_strict_gap_is_below_the_tolerance(tmp_path, core, length):
+    h = helpers.core_with_tail(core, length)
+    report = run_all_checks(h)
+    assert report.passed
+    sandwich = entry_map(report)["spectral-radius-sandwich"]
+    assert sandwich.details["equality"] and not sandwich.details["uniform"]
+    path = tmp_path / "tail.hg"
+    path.write_text(emit(h))
+    assert main(["check", str(path)]) == 0
 
 
 def test_checks_single_edge():

@@ -13,7 +13,7 @@ from hyperline import (
     is_valid,
     validate,
 )
-from hyperline import generate
+from hyperline import core, generate
 
 from helpers import adjacency
 from oracles import line_oracle
@@ -184,6 +184,23 @@ def test_outputs_validate_and_mutations_are_rejected():
         nested = Hypergraph(h.labels, list(h.edges) + [h.edges[0][:2]])
         rules = {v.rule for v in validate(nested)}
         assert "nested-edge" in rules or "duplicate-edge" in rules
+
+
+# (n, m, seed) of the generate benchmark workload, at --max-card 4
+BENCHMARK_SIZES = (
+    (40, 30, 1), (40, 30, 3), (46, 34, 2), (46, 34, 5), (50, 36, 2), (50, 36, 6),
+    (56, 40, 5), (56, 40, 6), (60, 42, 3), (60, 44, 1), (60, 44, 2),
+)
+
+
+def test_draws_are_simple_by_construction_without_validate(monkeypatch):
+    def refuse(h):
+        raise RuntimeError("the generator called validate")
+
+    monkeypatch.setattr(core, "validate", refuse)
+    outputs = [generate_hypergraph(n, m, 4, s) for n, m, s in BENCHMARK_SIZES]
+    monkeypatch.undo()
+    assert all(is_valid(h) and is_connected(h) for h in outputs)
 
 
 def _digest(hypergraphs) -> str:

@@ -288,7 +288,7 @@ def test_kernel_falls_back_to_fraction_free_when_the_prime_drops_the_rank(
         ([[40000, 39999, 7]], np.int64, "reconstruction bound"),
     ],
 )
-def test_wide_entries_fall_back_to_bareiss(caplog, data, dtype, reason):
+def test_wide_entries_fall_back_to_fraction_free(caplog, data, dtype, reason):
     mat = np.array(data, dtype=dtype)
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
         got = [list(v) for v in exact_kernel(mat)]
