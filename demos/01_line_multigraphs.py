@@ -43,8 +43,7 @@ for i, j in np.argwhere(np.triu(g)).tolist():
 # Line degrees come straight from hypergraph degrees:
 # deg(e) = sum of d(v) over v in e, minus |e|.
 line_degrees = g.sum(axis=1).tolist()
-for i in range(h.m):
-    assert line_degrees[i] == line_degree_formula(h, i)
+assert line_degrees == line_degree_formula(h)
 print("line degrees:", line_degrees)
 
 # ... and the total multiplicity from the degree sequence alone.

@@ -5,8 +5,11 @@ Exit codes: 0 on success (all checks passing), 1 when a check fails,
 2 on usage, parse or file errors, 141 when the reader of stdout closes it
 early (as in `hyperline line big.hg | head -1`).
 
-The argument parser is built once per process, at import, and reused by
-every `main` call; `build_parser` still returns a fresh one.
+Each subparser names its handler with `set_defaults(run=...)`. `main`
+reads the input file once, for every subcommand that takes one, and calls
+`args.run(h, args)`; `generate` takes no file and ignores `h`. The
+argument parser is built once per process, at import, and reused by every
+`main` call; `build_parser` still returns a fresh one.
 """
 
 from __future__ import annotations
@@ -46,16 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="structural summary of a hypergraph file")
+    p.set_defaults(run=_cmd_info)
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("line", help="emit the line multigraph")
+    p.set_defaults(run=_cmd_line)
     p.add_argument("file")
     p.add_argument(
         "--format", choices=("edgelist", "matrix", "json"), default="edgelist"
     )
 
     p = sub.add_parser("spectrum", help="eigenvalues of an associated matrix")
+    p.set_defaults(run=_cmd_spectrum)
     p.add_argument("file")
     p.add_argument(
         "--matrix",
@@ -65,11 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("check", help="run every applicable consistency check")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("power", help="construct a general power hypergraph")
+    p.set_defaults(run=_cmd_power)
     p.add_argument("file")
     p.add_argument("-t", type=int, required=True, help="vertex expansion factor")
     p.add_argument("-k", type=int, required=True, help="target rank (k >= r*t)")
@@ -82,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("collar", help="recognize or search for a collar")
+    p.set_defaults(run=_cmd_collar)
     p.add_argument("file")
     p.add_argument("--search", action="store_true", help="search edge subsets")
     p.add_argument(
@@ -94,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("generate", help="seeded random simple connected hypergraph")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-card", type=int, default=4)
@@ -102,13 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse keeps no state between parse_args calls, so one parser serves
-# every `main` call in a process
-_PARSER = build_parser()
-
-
-def _cmd_info(args) -> int:
-    h = parse_path(args.file)
+def _cmd_info(h, args) -> int:
     # first: it refuses a file with no edges, which has no vertices to average
     r, s = rank_corank(h)
     degs = h.degrees
@@ -141,8 +145,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_line(args) -> int:
-    h = parse_path(args.file)
+def _cmd_line(h, args) -> int:
     a = h.line
     # row-major, so in ascending (i, j) order
     rows, cols = np.nonzero(np.triu(a))
@@ -169,8 +172,7 @@ def _cmd_line(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    h = parse_path(args.file)
+def _cmd_spectrum(h, args) -> int:
     if args.matrix == "line-adjacency":
         spec = eigenvalues_symmetric(h.line, args.tol)
     else:
@@ -179,8 +181,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    h = parse_path(args.file)
+def _cmd_check(h, args) -> int:
     report = run_all_checks(h, args.tol)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -190,8 +191,7 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_power(args) -> int:
-    h = parse_path(args.file)
+def _cmd_power(h, args) -> int:
     padding(h, args.t, args.k)  # refuse bad t, k before any other error
     if args.spectrum is None:
         sys.stdout.write(emit(power_hypergraph(h, args.t, args.k, args.uniform_pad)))
@@ -212,8 +212,7 @@ def _cmd_power(args) -> int:
     return 0
 
 
-def _cmd_collar(args) -> int:
-    h = parse_path(args.file)
+def _cmd_collar(h, args) -> int:
     if args.search:
         witness = find_collar_subhypergraph(h, max_edges=args.max_edges)
     else:
@@ -232,21 +231,15 @@ def _cmd_collar(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(_, args) -> int:
     h = generate_hypergraph(args.n, args.m, args.max_card, args.seed)
     sys.stdout.write(emit(h))
     return 0
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "line": _cmd_line,
-    "spectrum": _cmd_spectrum,
-    "check": _cmd_check,
-    "power": _cmd_power,
-    "collar": _cmd_collar,
-    "generate": _cmd_generate,
-}
+# argparse keeps no state between parse_args calls, so one parser serves
+# every `main` call in a process
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _HANDLERS[args.command](args)
+        h = parse_path(args.file) if "file" in args else None
+        code = args.run(h, args)
         # inside the try, so that a reader gone before the last write is seen
         sys.stdout.flush()
         return code

@@ -44,18 +44,14 @@ class Hypergraph:
 
     @classmethod
     def from_edges(
-        cls,
-        edges: Iterable[Iterable[int]],
-        n: int | None = None,
-        labels: Iterable[str] | None = None,
-    ) -> "Hypergraph":
-        """Build from index edges; labels default to "0".."n-1"."""
-        edge_tuples = [tuple(sorted(set(e))) for e in edges]
-        if labels is not None:
-            return cls(labels, edge_tuples)
+        cls, edges: Iterable[Iterable[int]], n: int | None = None
+    ) -> Hypergraph:
+        """Build from index edges, labelled "0".."n-1"; `n` defaults to one
+        past the largest index. The constructor normalises the edges."""
+        edges = [list(e) for e in edges]
         if n is None:
-            n = 1 + max((v for e in edge_tuples for v in e), default=-1)
-        return cls((str(i) for i in range(n)), edge_tuples)
+            n = 1 + max((v for e in edges for v in e), default=-1)
+        return cls((str(i) for i in range(n)), edges)
 
     @property
     def n(self) -> int:

@@ -16,12 +16,11 @@ import numpy as np
 from .core import Hypergraph, rank_corank, zagreb_index
 
 
-def line_degree_formula(h: Hypergraph, i: int) -> int:
-    """Degree of line vertex i from hypergraph degrees: sum_{v in e_i} d(v) - |e_i|."""
-    if not 0 <= i < h.m:
-        raise IndexError(f"edge index {i} out of range")
-    e = h.edges[i]
-    return sum(h.degrees[v] for v in e) - len(e)
+def line_degree_formula(h: Hypergraph) -> list[int]:
+    """Every line-vertex degree from hypergraph degrees alone, in edge order:
+    edge e's is sum_{v in e} (d(v) - 1), its skew degree sum."""
+    degs = h.degrees
+    return [sum(degs[v] for v in e) - len(e) for e in h.edges]
 
 
 def line_edge_count(h: Hypergraph) -> int:

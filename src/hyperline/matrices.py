@@ -25,8 +25,6 @@ Floating point appears only downstream, in the eigensolver.
   `spectra.signless_spectrum` solves `Bᵀ B = C + A_L` at size
   min(n, m) and adds the |n - m| zeros exactly. This dense `Q` stays the
   reference route the tests compare against.
-- `incidence_matrix` is defined in `core`, which builds the line
-  adjacency matrix `A_L = BᵀB - C` from it, and is exported here too.
 - `Bᵀ B = C + A_L` is checked in `gram_identity_check` without forming
   `Bᵀ B` again: each non-zero pair above the diagonal of `A_L` must have
   its edges' intersection as its multiplicity, and the total multiplicity

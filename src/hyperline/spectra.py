@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, rank_corank
-from .matrices import (
-    exact_kernel,
-    exact_rank,
-    incidence_matrix,
-    signless_laplacian,
-)
+from .core import Hypergraph, incidence_matrix, rank_corank
+from .matrices import exact_kernel, exact_rank, signless_laplacian
 from .power import padding
 
 DEFAULT_TOLERANCE = 1e-9

@@ -29,8 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, is_uniform
-from .matrices import exact_kernel, incidence_matrix, incidence_product, vanish
+from .core import Hypergraph, incidence_matrix, is_uniform
+from .line import line_degree_formula
+from .matrices import exact_kernel, incidence_product, vanish
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,15 @@ def regularity_report(h: Hypergraph) -> RegularityReport:
 
     regular: the common vertex degree d, if any. edge_regular: the common
     value of sum_{v in e} d(v). skew_edge_regular: the common value of
-    sum_{v in e} (d(v) - 1), which discounts degree-one padding. linear:
-    no two edges share more than one vertex. edge_degree_sums: each edge's
-    sum_{v in e} d(v), in edge order.
+    sum_{v in e} (d(v) - 1), which discounts degree-one padding: the line
+    degree, from `line_degree_formula`. linear: no two edges share more
+    than one vertex. edge_degree_sums: each edge's sum_{v in e} d(v), in
+    edge order.
     """
     degs = h.degrees
     regular = degs[0] if len(set(degs)) == 1 else None
-    sums = tuple(sum(degs[v] for v in e) for e in h.edges)
-    skews = [s - len(e) for s, e in zip(sums, h.edges)]
+    skews = line_degree_formula(h)
+    sums = tuple(s + len(e) for s, e in zip(skews, h.edges))
     edge_regular = sums[0] if sums and len(set(sums)) == 1 else None
     skew = skews[0] if skews and len(set(skews)) == 1 else None
     # off the diagonal of Q = B B^T: no vertex pair lies in two edges

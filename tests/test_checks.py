@@ -37,11 +37,7 @@ def test_checks_trio(trio):
 def test_checks_certificate_entry_cycle4():
     entry = entry_map(run_all_checks(helpers.cycle(4)))["minus-rank-certificate-iff"]
     assert entry.passed
-    assert entry.details == {
-        "certificate": True,
-        "eigenvalue_minus_r": True,
-        "incidence_kernel_exact": True,
-    }
+    assert entry.details == {"certificate": True, "eigenvalue_minus_r": True}
 
 
 def test_checks_collar3_entries(collar3):
@@ -50,6 +46,18 @@ def test_checks_collar3_entries(collar3):
     entries = entry_map(report)
     assert entries["collar-line-bipartite"].applicable
     assert entries["collar-minus-k-eigenvalue"].details["k"] == 3
+
+
+def test_checks_skip_minus_k_on_a_non_uniform_collar():
+    # 2-regular with a bipartite line graph, but edge sizes 2 and 3
+    h = Hypergraph.from_edges([[0, 1], [1, 2, 3], [2, 3, 4], [4, 0]])
+    report = run_all_checks(h)
+    assert report.passed
+    entries = entry_map(report)
+    assert entries["collar-line-bipartite"].applicable
+    minus_k = entries["collar-minus-k-eigenvalue"]
+    assert (minus_k.passed, minus_k.applicable) == (True, False)
+    assert minus_k.note == "collar host not uniform"
 
 
 def test_checks_disconnected_input():

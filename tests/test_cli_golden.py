@@ -66,7 +66,7 @@ def test_check_json_on_demo_data_is_pinned(capsys):
             data = _rounded(json.loads(capsys.readouterr().out))
             digest.update(f"{path.name} --tol {tol} -> {code}\n{json.dumps(data)}\n".encode())
     assert digest.hexdigest() == (
-        "b0eef862837e0c3d37bffc01c8867e4620e2991ec7a5933481064ece61a0ae2c"
+        "484ad6a75f55befd1aa2612fecd99ec7e1ba120d9413506e891bc6eb09f6ce62"
     )
 
 

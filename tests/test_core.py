@@ -148,10 +148,20 @@ def test_rank_corank_empty_rejected():
         rank_corank(Hypergraph(["a"], []))
 
 
+def test_line_refuses_no_edges():
+    with pytest.raises(ValueError, match="no hyperedges"):
+        Hypergraph(["a"], []).line
+
+
 def test_connected_examples(trio):
     assert is_connected(trio)
     assert not is_connected(Hypergraph.from_edges([[0, 1], [2, 3]]))
     assert is_connected(helpers.path(4))
+
+
+@pytest.mark.parametrize("labels", [[], ["a"]])
+def test_connected_on_at_most_one_vertex(labels):
+    assert is_connected(Hypergraph(labels, []))
 
 
 def test_connected_matches_oracle_exhaustive_n5():

@@ -2,6 +2,7 @@
 `pyproject.toml`, so `pip install -e '.[test]'` is enough to run the suite."""
 
 import ast
+import inspect
 import re
 import sys
 import types
@@ -91,6 +92,86 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+# str(inspect.signature(...)) of each exported function and of each public
+# method of an exported class
+PUBLIC_SIGNATURES = {
+    "CheckEntry.to_json_dict": "(self) -> 'dict'",
+    "CheckReport.summary_lines": "(self) -> 'list[str]'",
+    "CheckReport.to_json_dict": "(self) -> 'dict'",
+    "Hypergraph.edge_label_sets": "(self) -> 'tuple[tuple[str, ...], ...]'",
+    "Hypergraph.from_edges": (
+        "(edges: 'Iterable[Iterable[int]]', n: 'int | None' = None) -> 'Hypergraph'"
+    ),
+    "Spectrum.contains": "(self, value: 'float', tol: 'float | None' = None) -> 'bool'",
+    "Spectrum.grouped": "(self) -> 'list[tuple[float, int]]'",
+    "Spectrum.to_json_dict": "(self) -> 'dict'",
+    "certificate_minus_r": "(h: 'Hypergraph') -> 'tuple[int, ...] | None'",
+    "check_collar_witness": "(h: 'Hypergraph', x: 'Sequence[int]') -> 'None'",
+    "collar_implies_bipartite_check": "(h: 'Hypergraph', x: 'Sequence[int]') -> 'bool'",
+    "eigenvalues_symmetric": (
+        "(matrix: 'np.ndarray', tolerance: 'float' = 1e-09) -> 'Spectrum'"
+    ),
+    "emit": "(h: 'Hypergraph') -> 'str'",
+    "exact_kernel": (
+        "(matrix: 'np.ndarray', fixed_zero_columns: 'Iterable[int]' = ()) -> 'list[tuple[int, ...]]'"
+    ),
+    "exact_rank": "(matrix: 'np.ndarray') -> 'int'",
+    "find_collar_subhypergraph": (
+        "(h: 'Hypergraph', max_edges: 'int' = 20) -> 'tuple[int, ...] | None'"
+    ),
+    "from_multigraph": "(a: 'np.ndarray') -> 'Hypergraph'",
+    "generate_hypergraph": (
+        "(n: 'int', m: 'int', max_card: 'int', seed: 'int') -> 'Hypergraph'"
+    ),
+    "gram_identity_check": "(h: 'Hypergraph') -> 'bool'",
+    "incidence_matrix": "(h: 'Hypergraph') -> 'np.ndarray'",
+    "incidence_product": "(h: 'Hypergraph', vec: 'Sequence[int]') -> 'tuple[int, ...]'",
+    "is_collar": "(h: 'Hypergraph') -> 'tuple[int, ...] | None'",
+    "is_connected": "(h: 'Hypergraph') -> 'bool'",
+    "is_uniform": "(h: 'Hypergraph') -> 'int | None'",
+    "is_valid": "(h: 'Hypergraph') -> 'bool'",
+    "line_degree_formula": "(h: 'Hypergraph') -> 'list[int]'",
+    "line_edge_count": "(h: 'Hypergraph') -> 'int'",
+    "multigraph_is_connected": "(a: 'np.ndarray') -> 'bool'",
+    "parse_path": "(path: 'str | os.PathLike') -> 'Hypergraph'",
+    "parse_text": "(text: 'str', source: 'str' = '<string>') -> 'Hypergraph'",
+    "power_hypergraph": (
+        "(base: 'Hypergraph', t: 'int', k: 'int', uniform_pad: 'bool' = False) -> 'Hypergraph'"
+    ),
+    "power_line_invariance_check": "(base: 'Hypergraph', t: 'int', k: 'int') -> 'bool'",
+    "power_spectrum_formula": (
+        "(base: 'Hypergraph', t: 'int', k: 'int', tolerance: 'float' = 1e-09) -> 'Spectrum'"
+    ),
+    "rank_corank": "(h: 'Hypergraph') -> 'tuple[int, int]'",
+    "reduce_core": "(h: 'Hypergraph') -> 'Hypergraph'",
+    "regularity_report": "(h: 'Hypergraph') -> 'RegularityReport'",
+    "run_all_checks": "(h: 'Hypergraph', tolerance: 'float' = 1e-09) -> 'CheckReport'",
+    "signless_laplacian": "(h: 'Hypergraph') -> 'np.ndarray'",
+    "signless_spectrum": "(h: 'Hypergraph', tolerance: 'float' = 1e-09) -> 'Spectrum'",
+    "uniformize": "(h: 'Hypergraph') -> 'Hypergraph'",
+    "validate": "(h: 'Hypergraph') -> 'list[Violation]'",
+    "zagreb_index": "(h: 'Hypergraph') -> 'int'",
+}
+
+
+def test_public_signatures_are_pinned():
+    # an option added to or dropped from the public API shows in this diff
+    import hyperline
+
+    signatures = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(hyperline, name)
+        if inspect.isfunction(value):
+            signatures[name] = str(inspect.signature(value))
+        elif inspect.isclass(value):
+            for attr in (a for a in vars(value) if not a.startswith("_")):
+                # a classmethod reads as a bound method, without `cls`
+                method = getattr(value, attr)
+                if inspect.isfunction(method) or inspect.ismethod(method):
+                    signatures[f"{name}.{attr}"] = str(inspect.signature(method))
+    assert signatures == PUBLIC_SIGNATURES
 
 
 def test_one_fraction_free_step():

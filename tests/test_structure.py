@@ -76,6 +76,10 @@ def test_is_collar_cycles():
     assert is_collar(helpers.path(4)) is None  # endpoint degrees are 1
 
 
+def test_is_collar_none_without_edges():
+    assert is_collar(Hypergraph(["a"], [])) is None
+
+
 def test_is_collar_collar3(collar3):
     h, signs = collar3
     assert is_collar(h) == signs
@@ -97,6 +101,11 @@ def test_collar_bipartite_check(collar3):
     host = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]])
     with pytest.raises(ValueError, match="does not cover every edge"):
         collar_implies_bipartite_check(host, find_collar_subhypergraph(host))
+
+
+def test_collar_bipartite_check_refuses_an_improper_coloring():
+    # edges 0 and 1 of the 4-cycle meet and share a sign
+    assert not collar_implies_bipartite_check(helpers.cycle(4), (1, 1, -1, -1))
 
 
 def test_check_collar_witness_errors():
