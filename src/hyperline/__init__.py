@@ -5,6 +5,9 @@ elimination modulo a prime, certified exactly, with the collar search's
 fraction-free step as the fallback), floating spectra from one symmetric
 eigensolver, collar recognition and exact eigenvalue certificates, and
 general power hypergraphs.
+
+numpy is imported on first use (`_numpy`), so work that builds no matrix
+runs without it.
 """
 
 from .core import (

@@ -19,8 +19,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
+from . import _numpy as np
 from .checks import run_all_checks
 from .core import (
     is_connected,

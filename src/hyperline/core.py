@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
-import numpy as np
+from . import _numpy as np
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ line-preserving and makes every multigraph realizable as a line multigraph.
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _numpy as np
 from .core import Hypergraph, rank_corank, zagreb_index
 
 

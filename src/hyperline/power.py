@@ -9,8 +9,7 @@ multiply intersections and padding never intersects anything.
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _numpy as np
 from .core import Hypergraph, rank_corank
 
 

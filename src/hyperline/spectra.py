@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .core import Hypergraph, incidence_matrix, rank_corank
 from .matrices import exact_kernel, exact_rank, signless_laplacian
 from .power import padding

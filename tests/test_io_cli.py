@@ -458,10 +458,11 @@ def test_cli_main_builds_no_parser(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_loads_no_heavy_modules():
     # sympy and fractions are test-only; logging is imported lazily by the
-    # collar search, so that startup stays flat
+    # collar search and numpy on first use (hyperline._numpy), so that
+    # startup stays flat
     probe = (
         "import sys, hyperline.cli; "
-        "print(sorted(set(sys.modules) & {'sympy', 'fractions', 'logging'}))"
+        "print(sorted(set(sys.modules) & {'sympy', 'fractions', 'logging', 'numpy'}))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -469,6 +470,69 @@ def test_cli_import_loads_no_heavy_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def fresh_python(code, *args):
+    """The stdout of `code` run with `args` in a new interpreter that imports
+    hyperline from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_cli_import_loads_every_module():
+    # a tracer from outside (benchmarks/tracer.py) wraps only loaded modules,
+    # so a lazily loaded layer would drop out of the per-layer metrics
+    modules = sorted(
+        "hyperline" if p.stem == "__init__" else f"hyperline.{p.stem}"
+        for p in (Path(__file__).resolve().parent.parent / "src" / "hyperline").glob("*.py")
+    )
+    probe = "import json, sys, hyperline.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = set(json.loads(fresh_python(probe)))
+    assert "hyperline.cli" in modules
+    assert [m for m in modules if m not in loaded] == []
+
+
+NUMPY_AFTER_MAIN = """
+import contextlib, io, json, sys
+from hyperline.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_numpy_only_to_build_a_matrix(tmp_path):
+    path = write(tmp_path, "collar3.hg", emit(helpers.collar3()[0]))
+    bad = write(tmp_path, "bad.hg", "1\n")
+    # in one process, in this order: numpy stays out until `check`
+    calls = [
+        ["generate", "--n", "40", "--m", "30", "--seed", "1"],
+        ["info", path],
+        ["power", path, "-t", "2", "-k", "6"],
+        ["info", bad],
+        ["--help"],
+        ["check", path],
+    ]
+    seen = json.loads(fresh_python(NUMPY_AFTER_MAIN, json.dumps(calls)))
+    assert seen == [[0, False], [0, False], [0, False], [2, False], [0, False], [0, True]]
+
+
+def test_numpy_shim_caches_what_it_hands_out():
+    import numpy
+
+    from hyperline import _numpy
+
+    vars(_numpy).pop("zeros", None)
+    assert _numpy.zeros is numpy.zeros
+    assert "zeros" in vars(_numpy)
+    assert _numpy.linalg is numpy.linalg
+    with pytest.raises(AttributeError):
+        _numpy.no_such_numpy_name
 
 
 def test_cli_closed_pipe_exits_quietly(tmp_path):
