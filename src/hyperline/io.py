@@ -54,14 +54,14 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
                 msgs.append(f"cardinality-one hyperedge at {where}")
             elif v.rule == "duplicate-edge":
                 msgs.append(f"duplicate hyperedge ({where})")
-            elif v.rule == "nested-edge":
+            else:
+                # nested-edge: labels are indexed as they are read, so no
+                # index lies out of range
                 a, b = v.edges
                 msgs.append(
                     f"hyperedge at line {edge_lines[a]} is contained in "
                     f"hyperedge at line {edge_lines[b]}"
                 )
-            else:
-                msgs.append(f"{v.message} ({where})")
         raise HypergraphParseError(f"{source}: " + "; ".join(msgs))
     return h
 

@@ -36,7 +36,7 @@ Floating point appears only downstream, in the eigensolver.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _numpy as np
 from .core import Hypergraph, incidence_matrix
@@ -252,14 +252,10 @@ def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def exact_kernel(
-    matrix: np.ndarray, fixed_zero_columns: Iterable[int] = ()
-) -> list[tuple[int, ...]]:
-    """Integer basis of the null space, zero on the fixed columns.
+def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
+    """Integer basis of the null space.
 
-    The kernel is taken over the columns outside `fixed_zero_columns` and
-    re-embedded with zeros there; a fixed column out of range raises
-    `IndexError`, and a matrix that is not 2-D or has non-integer entries
+    A matrix that is not 2-D or has non-integer entries raises
     `ValueError`.
     Basis vectors are normalized to content-1 integer vectors with positive
     leading entry, ordered by free column, so output is reproducible.
@@ -270,34 +266,18 @@ def exact_kernel(
     `hyperline.matrices` logger gives the shape and the reason.
     """
     exact = _exact_entries(matrix)
-    n_cols = matrix.shape[1]
-    fixed = set(fixed_zero_columns)
-    if any(not 0 <= c < n_cols for c in fixed):
-        raise IndexError(f"fixed column out of range for {n_cols} columns")
-    active = [c for c in range(n_cols) if c not in fixed]
-    if not active:
-        return []
-    sub = exact[:, active] if fixed else exact
     try:
-        vectors = _kernel_mod_p(sub)
+        vectors = _kernel_mod_p(exact)
     except _Uncertified as reason:
         # imported here: `logging` would add about 10% to `import hyperline.cli`
         # (4-8 ms of 44-70 ms under `python -X importtime`)
         import logging
 
         logging.getLogger(__name__).debug(
-            "exact kernel: %dx%d matrix, fraction-free fallback: %s", *sub.shape, reason
+            "exact kernel: %dx%d matrix, fraction-free fallback: %s", *exact.shape, reason
         )
-        vectors = _kernel_fraction_free(sub)
-    if not fixed:
-        return [_normalize_integer(vec) for vec in vectors]
-    basis: list[tuple[int, ...]] = []
-    for vec in vectors:
-        wide = [0] * n_cols
-        for c, v in zip(active, vec):
-            wide[c] = v
-        basis.append(_normalize_integer(wide))
-    return basis
+        vectors = _kernel_fraction_free(exact)
+    return [_normalize_integer(vec) for vec in vectors]
 
 
 def incidence_product(h: Hypergraph, vec: Sequence[int]) -> tuple[int, ...]:

@@ -108,16 +108,20 @@ def signless_spectrum(
 def certificate_minus_r(h: Hypergraph) -> tuple[int, ...] | None:
     """Exact kernel certificate for -r, or None when -r is not an eigenvalue.
 
-    The incidence kernel is restricted to the columns of rank-sized edges;
-    a non-trivial element there is exactly equivalent to -r being an
-    eigenvalue of the line adjacency matrix. The returned integer vector,
-    one entry per edge, is the first basis vector of that restricted kernel,
-    which `exact_kernel` certifies exactly, with zeros on the smaller edges.
+    `A_L + rI = BᵀB + diag(r - |e_i|)` is a sum of two positive
+    semidefinite matrices, so -r is an eigenvalue of the line adjacency
+    matrix exactly when `B` has a non-zero kernel vector on the columns of
+    the rank-sized edges alone. The returned integer vector, one entry per
+    edge, is the first basis vector of `exact_kernel` on those columns,
+    which certifies it exactly, with zeros written on the smaller edges.
     """
     r, _ = rank_corank(h)
-    small = {i for i, e in enumerate(h.edges) if len(e) < r}
-    basis = exact_kernel(incidence_matrix(h), small)
-    return basis[0] if basis else None
+    big = [i for i, e in enumerate(h.edges) if len(e) == r]
+    basis = exact_kernel(incidence_matrix(h)[:, big])
+    if not basis:
+        return None
+    entries = dict(zip(big, basis[0]))
+    return tuple(entries.get(i, 0) for i in range(h.m))
 
 
 def power_spectrum_formula(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hyperline import (
     HypergraphParseError,
     emit,
+    parse_path,
     parse_text,
     power_hypergraph,
 )
@@ -54,6 +55,26 @@ def test_parse_nested_reports_lines():
 def test_parse_duplicate():
     with pytest.raises(HypergraphParseError, match="duplicate"):
         parse_text("a b\nb a\n")
+
+
+def test_parse_duplicate_reports_lines_across_a_comment():
+    with pytest.raises(HypergraphParseError) as err:
+        parse_text("a b\n# c\nb a\n")
+    assert str(err.value) == "<string>: duplicate hyperedge (line 1, line 3)"
+
+
+def test_parse_reports_every_error_in_validate_order(tmp_path):
+    path = write(tmp_path, "bad.txt", "x\na b\nb a\na b c\n")
+    with pytest.raises(HypergraphParseError) as err:
+        parse_path(path)
+    assert str(err.value) == f"{path}: " + "; ".join(
+        [
+            "cardinality-one hyperedge at line 1",
+            "duplicate hyperedge (line 2, line 3)",
+            "hyperedge at line 2 is contained in hyperedge at line 4",
+            "hyperedge at line 3 is contained in hyperedge at line 4",
+        ]
+    )
 
 
 def test_emit_round_trip(trio):

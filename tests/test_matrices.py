@@ -99,12 +99,10 @@ def test_exact_kernel_identity_empty():
 
 
 def test_exact_kernel_fixed_columns():
-    # 1x3 zero row: kernel over the active columns only
+    # 1x3 zero row with column 1 held at zero: the kernel of the other columns
     mat = np.array([[0, 0, 0]])
-    basis = exact_kernel(mat, fixed_zero_columns={1})
-    assert [list(v) for v in basis] == [[1, 0, 0], [0, 0, 1]]
-    for v in basis:
-        assert v[1] == 0
+    basis = exact_kernel(mat[:, [0, 2]])
+    assert [list(v) for v in basis] == [[1, 0], [0, 1]]
 
 
 def test_exact_kernel_normalization():
@@ -237,17 +235,20 @@ def test_exact_kernel_matches_fraction_rref(case):
     assert exact_rank(mat) == rank_oracle(data)
     cols = len(data[0])
     for zero in (frozenset(), fixed):
-        basis = exact_kernel(mat, zero)
+        active = [c for c in range(cols) if c not in zero]
+        basis = exact_kernel(mat[:, active])
         assert all(type(x) is int for v in basis for x in v)
         got = [list(v) for v in basis]
-        assert got == kernel_oracle(data, cols, zero)
+        # the oracle's vectors hold zeros on the fixed columns; dropping them
+        # keeps content 1 and the sign of the leading entry
+        assert got == [[v[c] for c in active] for v in kernel_oracle(data, cols, zero)]
 
 
 def test_exact_kernel_matches_fraction_rref_without_rows():
     mat = np.zeros((0, 3), dtype=np.int64)
     assert exact_rank(mat) == 0
-    got = [list(v) for v in exact_kernel(mat, {1})]
-    assert got == kernel_oracle([], 3, {1}) == [[1, 0, 0], [0, 0, 1]]
+    got = [list(v) for v in exact_kernel(mat[:, [0, 2]])]
+    assert got == kernel_oracle([], 2) == [[1, 0], [0, 1]]
 
 
 def fallback_reasons(caplog) -> list[str]:
@@ -333,7 +334,9 @@ def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h,
     b = incidence_matrix(h)
     r = max(len(e) for e in h.edges)
     small = {i for i, e in enumerate(h.edges) if len(e) < r}
-    expected = [kernel_oracle(b.tolist(), h.m, fixed) for fixed in (set(), small)]
+    expected = kernel_oracle(b.tolist(), h.m)
+    restricted = kernel_oracle(b.tolist(), h.m, small)
+    certificate = tuple(restricted[0]) if restricted else None
     # the certified route first, then the fraction-free fallback
     for forced in (False, True):
         if forced:
@@ -341,7 +344,8 @@ def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h,
         with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
             assert len(exact_kernel(b)) == dim
             assert exact_rank(b) == h.m - dim
-            got = [[list(v) for v in exact_kernel(b, fixed)] for fixed in (set(), small)]
+            got = [list(v) for v in exact_kernel(b)]
+            assert certificate_minus_r(h) == certificate
         assert got == expected
         assert fallback_reasons(caplog) == ["forced"] * (4 if forced else 0)
         caplog.clear()
@@ -384,12 +388,6 @@ def test_exact_routines_accept_bool_and_integer_object_arrays():
     assert exact_kernel(np.array([[2**64 - 1, 1]], dtype=np.uint64)) == [
         (1, -(2**64 - 1))
     ]
-
-
-@pytest.mark.parametrize("column", [5, 3, -1])
-def test_exact_kernel_rejects_out_of_range_fixed_columns(column):
-    with pytest.raises(IndexError, match="out of range"):
-        exact_kernel(np.array([[1, -1, 0]]), {column})
 
 
 def assert_sparse_products_match_dense(h):

@@ -114,9 +114,7 @@ PUBLIC_SIGNATURES = {
         "(matrix: 'np.ndarray', tolerance: 'float' = 1e-09) -> 'Spectrum'"
     ),
     "emit": "(h: 'Hypergraph') -> 'str'",
-    "exact_kernel": (
-        "(matrix: 'np.ndarray', fixed_zero_columns: 'Iterable[int]' = ()) -> 'list[tuple[int, ...]]'"
-    ),
+    "exact_kernel": "(matrix: 'np.ndarray') -> 'list[tuple[int, ...]]'",
     "exact_rank": "(matrix: 'np.ndarray') -> 'int'",
     "find_collar_subhypergraph": (
         "(h: 'Hypergraph', max_edges: 'int' = 20) -> 'tuple[int, ...] | None'"
