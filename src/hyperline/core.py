@@ -7,10 +7,11 @@ vertex order of line multigraphs. A multigraph is its adjacency matrix: a
 square, symmetric, non-negative integer array with a zero diagonal, whose
 entry (i, j) is the number of parallel edges joining i and j.
 
-Construction is deliberately permissive. Structural problems (singleton
-edges, nested edges, duplicates, stray indices) are reported as data by
-:func:`validate` instead of being raised, so that malformed inputs can be
-inspected. All types are immutable values.
+Construction refuses only an edge that names a vertex outside 0..n-1,
+which has no line multigraph. Other structural problems (singleton edges,
+nested edges, duplicates) are reported as data by :func:`validate` instead
+of being raised, so that malformed inputs can be inspected. All types are
+immutable values.
 """
 
 from __future__ import annotations
@@ -37,10 +38,16 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, labels: Iterable[str], edges: Iterable[Iterable[int]]):
-        object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted(set(e))) for e in edges)
-        )
+        labels = tuple(str(x) for x in labels)
+        edges = tuple(tuple(sorted(set(e))) for e in edges)
+        n = len(labels)
+        for i, e in enumerate(edges):
+            # sorted, so only its ends can fall outside 0..n-1
+            if e and (e[0] < 0 or e[-1] >= n):
+                v = next(v for v in e if not 0 <= v < n)
+                raise ValueError(f"edge {i} references unknown vertex index {v}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(
@@ -68,12 +75,9 @@ class Hypergraph:
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the ascending indices of the edges through it."""
-        n = self.n
-        inc: list[list[int]] = [[] for _ in range(n)]
+        inc: list[list[int]] = [[] for _ in range(self.n)]
         for i, e in enumerate(self.edges):
             for v in e:
-                if not 0 <= v < n:
-                    raise ValueError(f"edge {i} references unknown vertex index {v}")
                 inc[v].append(i)
         return tuple(map(tuple, inc))
 
@@ -100,10 +104,8 @@ class Hypergraph:
 
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """0/1 vertex-by-edge membership matrix (n x m), edges in input order.
-
-    Filled from `h.incidence`, so a stray vertex index raises `ValueError`.
-    """
+    """0/1 vertex-by-edge membership matrix (n x m), edges in input order,
+    filled from `h.incidence`."""
     b = np.zeros((h.n, h.m), dtype=np.int64)
     rows = np.repeat(np.arange(h.n), h.degrees)
     b[rows, list(chain.from_iterable(h.incidence))] = 1
@@ -126,32 +128,18 @@ class Violation:
 def validate(h: Hypergraph) -> list[Violation]:
     """Check the simple-hypergraph invariants, returning violations as data.
 
-    Errors: cardinality-one edges, nested edges, duplicate edges, vertex
-    indices outside 0..n-1. This is the one definition of "simple"; the
-    generator does not call it, since its draws are simple by construction,
-    and its tests check them against it. Nested pairs (i, j), e_i a
-    proper subset of e_j, come in ascending order from a per-vertex index
-    of the raw entries, in O(Σ_e Σ_{v∈e} d(v)) rather than over all edge
-    pairs; an empty edge is nested in every non-empty one. Isolated
-    vertices are reported as a warning only, since they are representable
-    but excluded by most structural results on connectivity.
+    Errors: cardinality-one edges, nested edges, duplicate edges. This is
+    the one definition of "simple"; the generator does not call it, since
+    its draws are simple by construction, and its tests check them against
+    it. Nested pairs (i, j), e_i a proper subset of e_j, come in ascending
+    order from intersecting `h.incidence` over the vertices of e_i, in
+    O(Σ_e Σ_{v∈e} d(v)) rather than over all edge pairs; an empty edge is
+    nested in every non-empty one. Isolated vertices are reported as a
+    warning only, since they are representable but excluded by most
+    structural results on connectivity.
     """
     out: list[Violation] = []
-    # keyed by raw entries, not h.incidence, which rejects stray indices
-    through: dict[int, set[int]] = {}
-    n = h.n
     for i, e in enumerate(h.edges):
-        for v in e:
-            through.setdefault(v, set()).add(i)
-        bad = [v for v in e if not 0 <= v < n]
-        if bad:
-            out.append(
-                Violation(
-                    "index-out-of-range",
-                    f"edge {i} references unknown vertex index {bad[0]}",
-                    (i,),
-                )
-            )
         if len(e) == 1:
             out.append(
                 Violation("cardinality-one", f"cardinality-one hyperedge (edge {i})", (i,))
@@ -169,12 +157,13 @@ def validate(h: Hypergraph) -> list[Violation]:
     for i, e in enumerate(h.edges):
         # an edge holding e passes through all of its vertices; only a larger
         # one nests it, which skips e and its duplicates
-        holders = set.intersection(*(through[v] for v in e)) if e else range(h.m)
+        through = [h.incidence[v] for v in e]
+        holders = set(through[0]).intersection(*through[1:]) if e else range(h.m)
         for j in sorted(holders):
             if len(h.edges[j]) > len(e):
                 out.append(Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j)))
-    for v in range(n):
-        if v not in through:
+    for v, d in enumerate(h.degrees):
+        if d == 0:
             out.append(
                 Violation(
                     "isolated-vertex",

@@ -55,8 +55,6 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
             elif v.rule == "duplicate-edge":
                 msgs.append(f"duplicate hyperedge ({where})")
             else:
-                # nested-edge: labels are indexed as they are read, so no
-                # index lies out of range
                 a, b = v.edges
                 msgs.append(
                     f"hyperedge at line {edge_lines[a]} is contained in "
@@ -67,13 +65,14 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
 
 
 def parse_path(path: str | os.PathLike) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_text(fh.read(), source=str(path))
 
 
 def emit(h: Hypergraph) -> str:
     """Serialize back to the edge-per-line format, which has no way to
-    write a vertex that lies in no edge, nor two vertices with one label."""
+    write a vertex that lies in no edge, an empty edge, nor two vertices
+    with one label."""
     seen = set()
     for label in h.labels:
         if not label or label.split() != [label] or label.startswith("#"):
@@ -84,5 +83,9 @@ def emit(h: Hypergraph) -> str:
     if 0 in h.degrees:
         label = h.labels[h.degrees.index(0)]
         raise ValueError(f"isolated vertex {label!r} cannot be written to the text format")
+    if () in h.edges:
+        raise ValueError(
+            f"empty edge {h.edges.index(())} cannot be written to the text format"
+        )
     lines = [" ".join(h.labels[v] for v in e) for e in h.edges]
     return "\n".join(lines) + "\n"

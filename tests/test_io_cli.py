@@ -77,6 +77,15 @@ def test_parse_reports_every_error_in_validate_order(tmp_path):
     )
 
 
+def test_parse_path_skips_a_byte_order_mark(tmp_path):
+    text = "a b\nb c\nc a\n"
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    h = parse_path(path)
+    assert h == parse_text(text)
+    assert h.n == 3 and h.degrees == (2, 2, 2)
+
+
 def test_emit_round_trip(trio):
     assert parse_text(emit(trio)) == trio
 
@@ -103,6 +112,14 @@ def test_emit_rejects_isolated_vertices():
     # one edge per line: "a b" alone would parse back without "c"
     with pytest.raises(ValueError, match="isolated vertex 'c'"):
         emit(Hypergraph(["a", "b", "c"], [[0, 1]]))
+
+
+def test_emit_rejects_empty_edges():
+    from hyperline import Hypergraph
+
+    # a blank line is skipped on reading, so the edge would be lost
+    with pytest.raises(ValueError, match="empty edge 1"):
+        emit(Hypergraph(["a", "b", "c"], [[0, 1], [], [1, 2]]))
 
 
 def test_emit_rejects_repeated_labels():
