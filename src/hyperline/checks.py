@@ -16,8 +16,7 @@ implies it, and elsewhere a strict gap can lie below any tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import (
     Hypergraph,
@@ -38,11 +37,10 @@ from .spectra import (
 from .structure import collar_implies_bipartite_check, is_collar, regularity_report
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     passed: bool
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
     tolerance: float | None = None
     applicable: bool = True
     note: str = ""
@@ -58,8 +56,7 @@ class CheckEntry:
         return out
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     context: dict[str, Any]
     entries: tuple[CheckEntry, ...]
 
@@ -103,7 +100,7 @@ def run_all_checks(
         return abs(value - bound) <= tolerance
 
     def skipped(name: str, note: str) -> CheckEntry:
-        return CheckEntry(name, True, applicable=False, note=note)
+        return CheckEntry(name, True, {}, applicable=False, note=note)
 
     if 0 in h.degrees:
         entries.append(
@@ -153,9 +150,9 @@ def run_all_checks(
 
     skew = regularity.skew_edge_regular is not None
     line_regular = len(set(line_degrees)) <= 1
-    entries.append(CheckEntry("skew-edge-regular-iff-line-regular", skew == line_regular))
+    entries.append(CheckEntry("skew-edge-regular-iff-line-regular", skew == line_regular, {}))
 
-    entries.append(CheckEntry("gram-identity", gram_identity_check(h)))
+    entries.append(CheckEntry("gram-identity", gram_identity_check(h), {}))
 
     lam = spec_line.smallest
     entries.append(
@@ -181,7 +178,7 @@ def run_all_checks(
         entries.append(skipped("collar-minus-k-eigenvalue", "not a collar"))
     else:
         bipartite = collar_implies_bipartite_check(h, witness)
-        entries.append(CheckEntry("collar-line-bipartite", bipartite))
+        entries.append(CheckEntry("collar-line-bipartite", bipartite, {}))
         if uniform is None:
             entries.append(skipped("collar-minus-k-eigenvalue", "collar host not uniform"))
         else:

@@ -10,34 +10,37 @@ entry (i, j) is the number of parallel edges joining i and j.
 Construction refuses only an edge that names a vertex outside 0..n-1,
 which has no line multigraph. Other structural problems (singleton edges,
 nested edges, duplicates) are reported as data by :func:`validate` instead
-of being raised, so that malformed inputs can be inspected. All types are
-immutable values.
+of being raised, so that malformed inputs can be inspected. The value
+types are immutable `typing.NamedTuple` records, so they unpack, have a
+length and equal a plain tuple of their fields.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _numpy as np
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Fields(NamedTuple):
+    labels: tuple[str, ...]
+    edges: tuple[tuple[int, ...], ...]
+
+
+class Hypergraph(_Fields):
     """A general hypergraph: labelled vertices plus an ordered edge list.
 
     The incidence index, the degrees and the line multigraph are derived
     from the edges once, on first use, and cached on the value; every
-    reader of how edges meet reads them from here.
+    reader of how edges meet reads them from here. `_replace` and `_make`
+    build the tuple directly, skipping the normalisation and the index
+    check below.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[tuple[int, ...], ...]
-
-    def __init__(self, labels: Iterable[str], edges: Iterable[Iterable[int]]):
+    def __new__(cls, labels: Iterable[str], edges: Iterable[Iterable[int]]):
         labels = tuple(str(x) for x in labels)
         edges = tuple(tuple(sorted(set(e))) for e in edges)
         n = len(labels)
@@ -46,8 +49,10 @@ class Hypergraph:
             if e and (e[0] < 0 or e[-1] >= n):
                 v = next(v for v in e if not 0 <= v < n)
                 raise ValueError(f"edge {i} references unknown vertex index {v}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", edges)
+        return super().__new__(cls, labels, edges)
+
+    def __setattr__(self, name, value):  # the cached properties write __dict__
+        raise AttributeError(f"cannot assign to {name!r}: a Hypergraph is immutable")
 
     @classmethod
     def from_edges(
@@ -112,8 +117,7 @@ def incidence_matrix(h: Hypergraph) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed structural rule; warnings do not invalidate the hypergraph."""
 
     rule: str

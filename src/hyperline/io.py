@@ -72,7 +72,9 @@ def parse_path(path: str | os.PathLike) -> Hypergraph:
 def emit(h: Hypergraph) -> str:
     """Serialize back to the edge-per-line format, which has no way to
     write a vertex that lies in no edge, an empty edge, nor two vertices
-    with one label."""
+    with one label. The structure is not validated, so the output parses
+    back only when `h` is simple: `parse_text` refuses what `validate`
+    reports, such as a duplicate edge."""
     seen = set()
     for label in h.labels:
         if not label or label.split() != [label] or label.startswith("#"):

@@ -269,8 +269,8 @@ def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     try:
         vectors = _kernel_mod_p(exact)
     except _Uncertified as reason:
-        # imported here: `logging` would add about 10% to `import hyperline.cli`
-        # (4-8 ms of 44-70 ms under `python -X importtime`)
+        # imported here: `logging` would add about 20% to `import hyperline.cli`
+        # (5-8 ms of 23-40 ms under `python -X importtime`)
         import logging
 
         logging.getLogger(__name__).debug(

@@ -18,7 +18,7 @@ integers t and k alone (`power_spectrum_formula`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .core import Hypergraph, incidence_matrix, rank_corank
@@ -30,8 +30,7 @@ DEFAULT_TOLERANCE = 1e-9
 GROUPING_FACTOR = 100
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in descending order plus the tolerance they were computed at."""
 
     eigenvalues: tuple[float, ...]

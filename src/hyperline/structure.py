@@ -23,9 +23,8 @@ The library logs through the stdlib `logging` logger
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _numpy as np
 from .core import Hypergraph, incidence_matrix, is_uniform
@@ -33,8 +32,7 @@ from .line import line_degree_formula
 from .matrices import exact_kernel, incidence_product, vanish
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     regular: int | None
     edge_regular: int | None
     skew_edge_regular: int | None
@@ -177,8 +175,8 @@ def find_collar_subhypergraph(
     support = [i for i in range(h.m) if any(vec[i] for vec in kernel)]
 
     def log(outcome: str) -> None:
-        # imported here: `logging` would add about 10% to `import hyperline.cli`
-        # (4-8 ms of 44-70 ms under `python -X importtime`)
+        # imported here: `logging` would add about 20% to `import hyperline.cli`
+        # (5-8 ms of 23-40 ms under `python -X importtime`)
         import logging
 
         logging.getLogger(__name__).debug(

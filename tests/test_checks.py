@@ -32,6 +32,9 @@ def test_checks_trio(trio):
     assert entries["gram-identity"].passed
     assert entries["collar-line-bipartite"].applicable is False
     assert entries["spectral-radius-sandwich"].details["equality"] is True
+    # each skipped entry gets a details dict of its own
+    skipped = [e.details for e in report.entries if not e.applicable]
+    assert len(skipped) == 2 and skipped[0] == {} and skipped[0] is not skipped[1]
 
 
 def test_checks_certificate_entry_cycle4():

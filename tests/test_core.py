@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -228,6 +229,20 @@ def test_line_is_a_read_only_int64_matrix(trio):
     with pytest.raises(ValueError, match="read-only"):
         a += 1
     assert trio.line[0, 1] == 1
+
+
+def test_hypergraph_is_an_immutable_value():
+    h = Hypergraph(["a", "b", "c"], [[1, 0, 1], [2, 1]])
+    same = Hypergraph(("a", "b", "c"), [(0, 1), (1, 2)])
+    assert h == same and hash(h) == hash(same)
+    assert repr(h) == "Hypergraph(labels=('a', 'b', 'c'), edges=((0, 1), (1, 2)))"
+    with pytest.raises(AttributeError):
+        h.labels = ("x", "y", "z")
+    with pytest.raises(AttributeError):
+        h.degrees = (0, 0, 0)  # a cached property is not overwritten either
+    assert h.degrees == (1, 2, 1)
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert h.line is h.line
 
 
 def test_multigraph_rejects_self_loop():

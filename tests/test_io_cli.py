@@ -130,6 +130,16 @@ def test_emit_rejects_repeated_labels():
         emit(Hypergraph(["a", "b", "c", "b"], [[0, 1], [2, 3]]))
 
 
+def test_emit_writes_a_non_simple_hypergraph_that_does_not_parse_back():
+    from hyperline import Hypergraph
+
+    # emit does not validate; the round trip holds only for simple inputs
+    text = emit(Hypergraph(["a", "b"], [[0, 1], [0, 1]]))
+    assert text == "a b\na b\n"
+    with pytest.raises(HypergraphParseError, match="duplicate"):
+        parse_text(text)
+
+
 @settings(deadline=None, max_examples=50)
 @given(strategies.hypergraphs())
 def test_round_trip_random(h):
@@ -496,12 +506,11 @@ def test_cli_main_builds_no_parser(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_loads_no_heavy_modules():
     # sympy and fractions are test-only; logging is imported lazily by the
-    # collar search and numpy on first use (hyperline._numpy), so that
-    # startup stays flat
-    probe = (
-        "import sys, hyperline.cli; "
-        "print(sorted(set(sys.modules) & {'sympy', 'fractions', 'logging', 'numpy'}))"
-    )
+    # collar search and numpy on first use (hyperline._numpy); the value
+    # types are NamedTuple records, since dataclasses pulls in inspect, so
+    # that startup stays flat
+    heavy = {"sympy", "fractions", "logging", "numpy", "dataclasses", "inspect"}
+    probe = f"import sys, hyperline.cli; print(sorted(set(sys.modules) & {heavy!r}))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -132,7 +132,9 @@ def test_check_collar_witness_errors():
 
 def test_find_collar_c4_plus_pendant():
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]])
-    assert find_collar_subhypergraph(h) == (1, -1, 1, -1, 0)
+    w = find_collar_subhypergraph(h)
+    assert w == (1, -1, 1, -1, 0)
+    check_collar_witness(h, w)  # vertex 4 is left uncovered
 
 
 def test_find_collar_triangle_none():
@@ -147,6 +149,7 @@ def test_find_collar_collar3_with_extras(collar3):
     w = find_collar_subhypergraph(host)
     assert w is not None
     assert helpers.support(w) == tuple(range(14))
+    check_collar_witness(host, w)  # the two extra vertices are left uncovered
 
 
 def test_find_collar_cap():
