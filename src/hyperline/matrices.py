@@ -7,17 +7,27 @@ Every routine here is exact, and the exact routines refuse any other
 dtype. Vectors, kernel vectors included, are plain `tuple[int, ...]`.
 Floating point appears only downstream, in the eigensolver.
 
-- `exact_kernel` runs Gauss-Jordan elimination modulo the prime
-  p = 2147483629 on an `int64` array, reads each kernel vector back as
-  integers or, by rational reconstruction, as fractions with numerator
-  and denominator within `isqrt(p // 2)`, and checks `B X = 0` with one
-  exact product. A vector that passes proves its free column free over
-  the rationals as well, so the basis is the one exact elimination gives.
-  When the check cannot pass (an unlucky prime, an entry past that bound,
-  or a matrix beyond `int64`), `vanish` computes the kernel instead on
-  Python integers: the one fraction-free elimination step, which the
-  collar search also uses to restrict `ker B`. `exact_rank` is the column
-  count less the kernel dimension.
+- `exact_kernel` first reduces the matrix exactly to its core, by two
+  rules applied until neither applies. The peel: a row with one non-zero
+  among the live columns forces that column to 0. The tie: a row
+  `u x_lo + w x_hi = 0` with `|u| == |w|` gives `x_lo = -(u/w) x_hi`, so
+  that multiple of the smaller column is added into the larger, which
+  then stands for both. Neither rule removes a free column of the
+  canonical basis: a peeled column is 0 on the whole kernel, and a
+  kernel vector that is zero past a tied column is zero at it too. So
+  the core has the same free columns, and each basis vector is its core
+  vector read back through the ties. On the core it runs Gauss-Jordan
+  elimination modulo the prime p = 2147483629 on an `int64` array, reads
+  each kernel vector back as integers or, by rational reconstruction, as
+  fractions with numerator and denominator within `isqrt(p // 2)`, and
+  checks `B X = 0` with one exact product. A vector that passes proves
+  its free column free over the rationals as well, so the basis is the
+  one exact elimination gives. When the check cannot pass (an unlucky
+  prime, an entry past that bound, or a core beyond `int64`), `vanish`
+  computes the core's kernel instead on Python integers: the one
+  fraction-free elimination step, which the collar search also uses to
+  restrict `ker B`. `exact_rank` is the column count less the kernel
+  dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
@@ -127,8 +137,12 @@ def _exact_entries(matrix: np.ndarray) -> np.ndarray:
     ):
         raise ValueError(f"exact routines need integer entries, not {matrix.dtype}")
     ints = [int(x) for x in matrix.flat]
-    wide = any(not -(2**63) <= x < 2**63 for x in ints)
-    return np.array(ints, dtype=object if wide else np.int64).reshape(matrix.shape)
+    return np.array(ints, dtype=_int_dtype(ints)).reshape(matrix.shape)
+
+
+def _int_dtype(ints: list[int]) -> type:
+    """`np.int64` when every one of `ints` fits it, else `object`."""
+    return np.int64 if all(-(2**63) <= x < 2**63 for x in ints) else object
 
 
 def _gauss_jordan_mod_p(a: np.ndarray) -> tuple[list[int], list[int]]:
@@ -235,6 +249,69 @@ def _kernel_mod_p(a: np.ndarray) -> list[list[int]]:
     return vectors
 
 
+def _core(a: np.ndarray) -> tuple[np.ndarray, list[int], list[tuple[int, int, int]]]:
+    """`a` reduced by the peel and the tie until neither applies.
+
+    Returns the core, the column of `a` that each core column stands for,
+    and the ties `(lo, sign, hi)`, meaning `x_lo = sign * x_hi`, in the
+    order they were made. A matrix with no row of one or two non-zeros is
+    its own core, and so is one that nothing reduces.
+    """
+    n_rows, n_cols = a.shape
+    counts = np.count_nonzero(a, axis=1)
+    low = (counts == 1) | (counts == 2)
+    if not low.any():
+        return a, list(range(n_cols)), []
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
+    cols: list[dict[int, int] | None] = [{} for _ in range(n_cols)]
+    nz_rows, nz_cols = a.nonzero()
+    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        rows[r][c] = cols[c][r] = v
+    ties: list[tuple[int, int, int]] = []
+    stack = np.flatnonzero(low).tolist()
+    while stack:
+        row = rows[stack.pop()]
+        if len(row) == 1:
+            # x_c = 0: column c leaves every row it meets
+            (c,) = row
+            for r in cols[c]:
+                del rows[r][c]
+                stack.append(r)
+            cols[c] = None
+        elif len(row) == 2:
+            (lo, u), (hi, w) = sorted(row.items())
+            if abs(u) != abs(w):
+                continue
+            # u x_lo + w x_hi = 0 gives x_lo = sign * x_hi, so column hi
+            # takes sign times column lo
+            sign = -1 if (u > 0) == (w > 0) else 1
+            col_hi = cols[hi]
+            for r, v in cols[lo].items():
+                del rows[r][lo]
+                t = col_hi.get(r, 0) + sign * v
+                if t:
+                    rows[r][hi] = col_hi[r] = t
+                else:
+                    del rows[r][hi], col_hi[r]
+                stack.append(r)
+            cols[lo] = None
+            ties.append((lo, sign, hi))
+    live = [c for c in range(n_cols) if cols[c] is not None]
+    if len(live) == n_cols:
+        return a, live, []
+    kept = [r for r in range(n_rows) if rows[r]]
+    at = {c: j for j, c in enumerate(live)}
+    ii, jj, values = [], [], []
+    for i, r in enumerate(kept):
+        for c, v in rows[r].items():
+            ii.append(i)
+            jj.append(at[c])
+            values.append(v)
+    core = np.zeros((len(kept), len(live)), dtype=_int_dtype(values))
+    core[ii, jj] = values
+    return core, live, ties
+
+
 def exact_rank(matrix: np.ndarray) -> int:
     """Rank over the rationals: the column count less the kernel dimension."""
     nullity = len(exact_kernel(matrix))  # first: it refuses a matrix that is not 2-D
@@ -260,23 +337,47 @@ def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     Basis vectors are normalized to content-1 integer vectors with positive
     leading entry, ordered by free column, so output is reproducible.
 
-    The basis comes from elimination modulo a prime, certified by an exact
-    product; when the certificate fails, `vanish` steps on Python integers
-    compute it instead, and a debug record on the
-    `hyperline.matrices` logger gives the shape and the reason.
+    The matrix is first reduced exactly to its core: a row with one
+    non-zero among the live columns forces that column to 0, and a row
+    with two of equal size ties the smaller column to the larger, which
+    takes the smaller one's column times the tie's sign and stands for
+    both. Neither rule reaches a free column: a forced column is 0 on the
+    whole kernel, and a kernel vector that is zero past a tied column is
+    zero there too. So the free columns, and each basis vector read back
+    through the ties, are those of the whole matrix.
+
+    The core's basis comes from elimination modulo a prime, certified by
+    an exact product; when the certificate fails, `vanish` steps on Python
+    integers compute it instead, and a debug record on the
+    `hyperline.matrices` logger gives the shapes of the matrix and its
+    core, and the reason.
     """
     exact = _exact_entries(matrix)
+    core, live, ties = _core(exact)
     try:
-        vectors = _kernel_mod_p(exact)
+        vectors = _kernel_mod_p(core)
     except _Uncertified as reason:
         # imported here: `logging` would add about 20% to `import hyperline.cli`
         # (5-8 ms of 23-40 ms under `python -X importtime`)
         import logging
 
         logging.getLogger(__name__).debug(
-            "exact kernel: %dx%d matrix, fraction-free fallback: %s", *exact.shape, reason
+            "exact kernel: %dx%d matrix, %dx%d core, fraction-free fallback: %s",
+            *exact.shape, *core.shape, reason,
         )
-        vectors = _kernel_fraction_free(exact)
+        vectors = _kernel_fraction_free(core)
+    if len(live) < exact.shape[1]:
+        # 0 on a peeled column; a tied one follows the column it was tied to,
+        # which was tied, if at all, only later
+        read_back = []
+        for vec in vectors:
+            x = [0] * exact.shape[1]
+            for c, v in zip(live, vec):
+                x[c] = v
+            for lo, sign, hi in reversed(ties):
+                x[lo] = sign * x[hi]
+            read_back.append(x)
+        vectors = read_back
     return [_normalize_integer(vec) for vec in vectors]
 
 

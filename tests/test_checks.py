@@ -3,14 +3,16 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperline.checks
 import hyperline.spectra
 import hyperline.structure
-from hyperline import Hypergraph, emit, run_all_checks
+from hyperline import Hypergraph, emit, generate_hypergraph, run_all_checks
 from hyperline.cli import main
 
 import helpers
+import strategies
 from helpers import adjacency, entry_map
 from oracles import dense_incidence
 
@@ -238,3 +240,47 @@ def test_checks_attainment_follows_the_analysis_rule(corpus, equality_family, to
         for name, (lower_gap, upper_gap) in bound_gaps(h).items():
             tight = lower_gap <= tol or upper_gap <= tol
             assert entries[name].details["equality"] == tight
+
+
+def verdicts(report) -> list:
+    """Each entry's name, verdict and boolean details, and the context."""
+    return [report.context] + [
+        (e.name, e.passed, e.applicable,
+         {k: v for k, v in e.details.items() if isinstance(v, bool)})
+        for e in report.entries
+    ]
+
+
+def assert_checks_invariant(h, sigma, perm):
+    # vertex v becomes sigma[v], keeping its label; new edge i is old edge perm[i]
+    labels = [""] * h.n
+    for v, label in enumerate(h.labels):
+        labels[sigma[v]] = label
+    moved = Hypergraph(labels, [[sigma[v] for v in h.edges[i]] for i in perm])
+    assert np.array_equal(moved.line, h.line[np.ix_(perm, perm)])
+    assert verdicts(run_all_checks(moved)) == verdicts(run_all_checks(h))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(strategies.hypergraphs(), strategies.uniform_hypergraphs(3)),
+    st.data(),
+)
+def test_checks_are_invariant_under_relabelling_and_edge_permutation(h, data):
+    sigma = data.draw(st.permutations(range(h.n)))
+    perm = data.draw(st.permutations(range(h.m)))
+    assert_checks_invariant(h, sigma, perm)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [helpers.collar3()[0], helpers.core_with_tail(6, 3), helpers.circulant(24, 4),
+     generate_hypergraph(40, 30, 4, 1), generate_hypergraph(30, 36, 3, 2)],
+    ids=["collar3", "core6_tail3", "circulant24_4", "gen40_30", "gen30_36"],
+)
+def test_checks_of_larger_inputs_are_invariant_under_permutations(h):
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        assert_checks_invariant(
+            h, rng.permutation(h.n).tolist(), rng.permutation(h.m).tolist()
+        )

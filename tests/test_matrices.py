@@ -244,6 +244,63 @@ def test_exact_kernel_matches_fraction_rref(case):
         assert got == [[v[c] for c in active] for v in kernel_oracle(data, cols, zero)]
 
 
+@st.composite
+def sparse_int_matrices(draw, max_rows: int = 8, max_cols: int = 8):
+    """Mostly zero integer matrices, so that rows of one non-zero (the peel)
+    and of two of equal size (the tie) are common. Entries are ±1 and ±2,
+    with 10**12 and 2**62 now and then: two columns of 2**62 tied with the
+    same sign sum past int64."""
+    rows = draw(st.integers(min_value=0, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    entry = st.sampled_from(
+        (0,) * 12 + (1, -1, 2, -2) * 2 + (10**12, -(10**12), 2**62, -(2**62))
+    )
+    return draw(matrix_rows(entry, rows, cols))
+
+
+def as_matrix(data, cols: int) -> np.ndarray:
+    return np.array(data, dtype=np.int64).reshape(len(data), cols)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_int_matrices())
+@example([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])  # even cycle
+@example([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # odd cycle: ties, then a peel
+def test_exact_kernel_of_sparse_matrices_matches_fraction_rref(data):
+    cols = len(data[0]) if data else 3
+    mat = as_matrix(data, cols)
+    assert [list(v) for v in exact_kernel(mat)] == kernel_oracle(data, cols)
+    assert exact_rank(mat) == rank_oracle(data)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_int_matrices(), st.data())
+def test_exact_kernel_ignores_the_row_order(data, draw):
+    cols = len(data[0]) if data else 3
+    mat = as_matrix(data, cols)
+    perm = draw.draw(st.permutations(range(len(data))))
+    assert exact_kernel(mat[list(perm)]) == exact_kernel(mat)
+
+
+def test_exact_kernel_of_generator_draws_ignores_the_row_order():
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        b = incidence_matrix(generate_hypergraph(80, 70, 4, seed))
+        basis = exact_kernel(b)
+        for _ in range(3):
+            assert exact_kernel(b[rng.permutation(b.shape[0])]) == basis
+
+
+def test_a_tie_past_int64_falls_back_on_the_core(caplog):
+    # x0 = x1 ties column 0 into column 1: 2**62 + 2**62 passes int64
+    data = [[1, -1, 0], [2**62, 2**62, 1]]
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        got = [list(v) for v in exact_kernel(np.array(data, dtype=np.int64))]
+    assert got == kernel_oracle(data, 3) == [[1, 1, -(2**63)]]
+    assert fallback_reasons(caplog) == ["entries beyond int64"]
+    assert "2x3 matrix, 1x2 core" in caplog.records[0].getMessage()
+
+
 def test_exact_kernel_matches_fraction_rref_without_rows():
     mat = np.zeros((0, 3), dtype=np.int64)
     assert exact_rank(mat) == 0
@@ -262,16 +319,17 @@ def fallback_reasons(caplog) -> list[str]:
 def test_kernel_falls_back_to_fraction_free_when_the_prime_drops_the_rank(
     monkeypatch, caplog
 ):
-    monkeypatch.setattr(matrices, "_PRIME", 2)
-    b = incidence_matrix(helpers.cycle(3))
-    # mod 2 the triangle's incidence matrix has rank 2, and the kernel vector
-    # read back, (1, 1, 1), fails B x = 0 over the integers
-    assert len(matrices._gauss_jordan_mod_p(b % 2)[0]) == 2
+    monkeypatch.setattr(matrices, "_PRIME", 3)
+    # every row has three non-zeros, so the whole matrix is its own core; its
+    # determinant is -3, so mod 3 its rank is 3, and the kernel vector read
+    # back fails B x = 0 over the integers
+    b = incidence_matrix(helpers.complete_uniform(4, 3))
+    assert len(matrices._gauss_jordan_mod_p(b % 3)[0]) == 3
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
         assert exact_kernel(b) == []
-        assert exact_rank(b) == 3
+        assert exact_rank(b) == 4
     assert fallback_reasons(caplog) == ["rank dropped mod p"] * 2
-    assert "3x3 matrix" in caplog.records[0].getMessage()
+    assert "4x4 matrix, 4x4 core" in caplog.records[0].getMessage()
 
 
 @pytest.mark.parametrize(
@@ -349,6 +407,37 @@ def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h,
         assert got == expected
         assert fallback_reasons(caplog) == ["forced"] * (4 if forced else 0)
         caplog.clear()
+
+
+def test_fallback_record_gives_the_core_shape(monkeypatch, caplog):
+    def uncertified(a):
+        raise matrices._Uncertified("forced")
+
+    monkeypatch.setattr(matrices, "_kernel_mod_p", uncertified)
+    # every column of this draw is peeled or tied: its core is empty
+    b = incidence_matrix(generate_hypergraph(60, 40, 5, 0))
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        assert exact_kernel(b) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "exact kernel: 60x40 matrix, 0x0 core, fraction-free fallback: forced"
+    ]
+
+
+def test_certified_kernel_of_a_generator_draw_matches_the_fallback(
+    monkeypatch, caplog
+):
+    def uncertified(a):
+        raise matrices._Uncertified("forced")
+
+    b = incidence_matrix(generate_hypergraph(400, 300, 4, 1))
+    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
+        certified = exact_kernel(b)
+        assert not fallback_reasons(caplog)
+        monkeypatch.setattr(matrices, "_kernel_mod_p", uncertified)
+        assert exact_kernel(b) == certified
+    assert fallback_reasons(caplog) == ["forced"]
+    assert len(certified) == b.shape[1] - np.linalg.matrix_rank(b.astype(float)) > 0
+    assert not (b @ np.array(certified, dtype=np.int64).T).any()
 
 
 @pytest.mark.parametrize(
