@@ -16,7 +16,6 @@ from .core import (
     incidence_matrix,
     is_connected,
     is_uniform,
-    is_valid,
     multigraph_is_connected,
     rank_corank,
     validate,

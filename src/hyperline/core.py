@@ -118,29 +118,28 @@ def incidence_matrix(h: Hypergraph) -> np.ndarray:
 
 
 class Violation(NamedTuple):
-    """One failed structural rule; warnings do not invalidate the hypergraph."""
+    """One broken simple-hypergraph rule and the edges that break it."""
 
     rule: str
     message: str
-    edges: tuple[int, ...] = ()
-    severity: str = "error"
+    edges: tuple[int, ...]
 
     def __str__(self) -> str:
         return self.message
 
 
 def validate(h: Hypergraph) -> list[Violation]:
-    """Check the simple-hypergraph invariants, returning violations as data.
+    """Check the simple-hypergraph invariants, returning violations as data:
+    `h` is simple exactly when the list is empty.
 
-    Errors: cardinality-one edges, nested edges, duplicate edges. This is
-    the one definition of "simple"; the generator does not call it, since
-    its draws are simple by construction, and its tests check them against
-    it. Nested pairs (i, j), e_i a proper subset of e_j, come in ascending
-    order from intersecting `h.incidence` over the vertices of e_i, in
-    O(Σ_e Σ_{v∈e} d(v)) rather than over all edge pairs; an empty edge is
-    nested in every non-empty one. Isolated vertices are reported as a
-    warning only, since they are representable but excluded by most
-    structural results on connectivity.
+    Violations: cardinality-one edges, duplicate edges, nested edges. This
+    is the one definition of "simple"; the generator does not call it,
+    since its draws are simple by construction, and its tests check them
+    against it. Nested pairs (i, j), e_i a proper subset of e_j, come in
+    ascending order from intersecting `h.incidence` over the vertices of
+    e_i, in O(Σ_e Σ_{v∈e} d(v)) rather than over all edge pairs; an empty
+    edge is nested in every non-empty one. An isolated vertex breaks no
+    rule; `h.degrees` shows it.
     """
     out: list[Violation] = []
     for i, e in enumerate(h.edges):
@@ -166,22 +165,7 @@ def validate(h: Hypergraph) -> list[Violation]:
         for j in sorted(holders):
             if len(h.edges[j]) > len(e):
                 out.append(Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j)))
-    for v, d in enumerate(h.degrees):
-        if d == 0:
-            out.append(
-                Violation(
-                    "isolated-vertex",
-                    f"vertex {h.labels[v]!r} (index {v}) lies in no edge",
-                    (),
-                    severity="warning",
-                )
-            )
     return out
-
-
-def is_valid(h: Hypergraph) -> bool:
-    """True when no error-severity violation is present."""
-    return all(v.severity != "error" for v in validate(h))
 
 
 def rank_corank(h: Hypergraph) -> tuple[int, int]:

@@ -45,7 +45,7 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
         edges.append(edge)
         edge_lines.append(lineno)
     h = Hypergraph(labels, edges)
-    problems = [v for v in validate(h) if v.severity == "error"]
+    problems = validate(h)
     if problems:
         msgs = []
         for v in problems:

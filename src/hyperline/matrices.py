@@ -1,11 +1,13 @@
 """Exact integer matrices: incidence, signless Laplacian, the Gram
 identity, and exact kernel/rank computation.
 
-A matrix is a 2-D numpy integer array: `int64` from the builders, whose
-entries are counts of at most m, or `object` for entries beyond int64.
-Every routine here is exact, and the exact routines refuse any other
-dtype. Vectors, kernel vectors included, are plain `tuple[int, ...]`.
-Floating point appears only downstream, in the eigensolver.
+A matrix is a 2-D numpy `int64` array; the builders' entries are counts
+of at most m. Every routine here is exact, and the exact routines refuse
+a dtype that does not cast to `int64` and an entry of absolute value
+2**31 or more: an entry of the kernel's core is a signed sum of at most
+one entry from each column, so it stays within `int64`. Vectors, kernel
+vectors included, are plain `tuple[int, ...]`. Floating point appears
+only downstream, in the eigensolver.
 
 - `exact_kernel` first reduces the matrix exactly to its core, by two
   rules applied until neither applies. The peel: a row with one non-zero
@@ -23,11 +25,10 @@ Floating point appears only downstream, in the eigensolver.
   checks `B X = 0` with one exact product. A vector that passes proves
   its free column free over the rationals as well, so the basis is the
   one exact elimination gives. When the check cannot pass (an unlucky
-  prime, an entry past that bound, or a core beyond `int64`), `vanish`
-  computes the core's kernel instead on Python integers: the one
-  fraction-free elimination step, which the collar search also uses to
-  restrict `ker B`. `exact_rank` is the column count less the kernel
-  dimension.
+  prime, or an entry past that bound), `vanish` computes the core's
+  kernel instead on Python integers: the one fraction-free elimination
+  step, which the collar search also uses to restrict `ker B`.
+  `exact_rank` is the column count less the kernel dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
@@ -120,29 +121,17 @@ class _Uncertified(Exception):
 
 
 def _exact_entries(matrix: np.ndarray) -> np.ndarray:
-    """`matrix` as `int64`, or as an `object` array of Python ints when an
-    entry lies beyond `int64`.
-
-    Integer and bool dtypes are exact, and so are `object` arrays of
-    integers; any other entry raises `ValueError`, since a float cast to an
-    integer would change the matrix, and so does an array that is not 2-D.
-    """
+    """`matrix` as `int64`, or `ValueError` when it is not 2-D, when its
+    dtype does not cast to `int64` (a float cast would change the matrix),
+    or when an entry has absolute value 2**31 or more."""
     if matrix.ndim != 2:
         raise ValueError(f"exact routines need a 2-D matrix, not shape {matrix.shape}")
-    if np.can_cast(matrix.dtype, np.int64):
-        return matrix.astype(np.int64, copy=False)
-    if matrix.dtype.kind != "u" and not (
-        matrix.dtype == object
-        and all(isinstance(x, (int, np.integer)) for x in matrix.flat)
-    ):
+    if not np.can_cast(matrix.dtype, np.int64):
         raise ValueError(f"exact routines need integer entries, not {matrix.dtype}")
-    ints = [int(x) for x in matrix.flat]
-    return np.array(ints, dtype=_int_dtype(ints)).reshape(matrix.shape)
-
-
-def _int_dtype(ints: list[int]) -> type:
-    """`np.int64` when every one of `ints` fits it, else `object`."""
-    return np.int64 if all(-(2**63) <= x < 2**63 for x in ints) else object
+    a = matrix.astype(np.int64, copy=False)
+    if a.size and not -(2**31) < a.min() <= a.max() < 2**31:
+        raise ValueError("exact routines need entries of absolute value below 2**31")
+    return a
 
 
 def _gauss_jordan_mod_p(a: np.ndarray) -> tuple[list[int], list[int]]:
@@ -205,12 +194,10 @@ def _kernel_mod_p(a: np.ndarray) -> list[list[int]]:
     pivot columns before it, over the rationals too, so f is free there as
     well; rank mod p never exceeds the rational rank, so the two pivot sets
     agree and each vector is the unique one with those free coordinates,
-    the one the fraction-free fallback gives. Raises `_Uncertified` when `a`
-    has entries beyond `int64`, when an entry does not reconstruct within
-    `isqrt(p // 2)`, or when a vector fails the product.
+    the one the fraction-free fallback gives. Raises `_Uncertified` when an
+    entry does not reconstruct within `isqrt(p // 2)`, or when a vector
+    fails the product.
     """
-    if a.dtype == object:
-        raise _Uncertified("entries beyond int64")
     p = _PRIME
     bound = isqrt(p // 2)
     n_rows, n_cols = a.shape
@@ -307,7 +294,7 @@ def _core(a: np.ndarray) -> tuple[np.ndarray, list[int], list[tuple[int, int, in
             ii.append(i)
             jj.append(at[c])
             values.append(v)
-    core = np.zeros((len(kept), len(live)), dtype=_int_dtype(values))
+    core = np.zeros((len(kept), len(live)), dtype=np.int64)
     core[ii, jj] = values
     return core, live, ties
 
@@ -332,8 +319,8 @@ def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
 def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     """Integer basis of the null space.
 
-    A matrix that is not 2-D or has non-integer entries raises
-    `ValueError`.
+    A matrix that is not 2-D, whose dtype does not cast to `int64`, or
+    with an entry of absolute value 2**31 or more raises `ValueError`.
     Basis vectors are normalized to content-1 integer vectors with positive
     leading entry, ordered by free column, so output is reproducible.
 

@@ -10,7 +10,6 @@ from hyperline import (
     Hypergraph,
     generate_hypergraph,
     is_connected,
-    is_valid,
     validate,
 )
 from hyperline import core, generate
@@ -23,7 +22,7 @@ def test_deterministic_per_seed():
     a = generate_hypergraph(6, 4, 4, seed=1)
     b = generate_hypergraph(6, 4, 4, seed=1)
     assert a == b
-    assert is_valid(a) and is_connected(a)
+    assert not validate(a) and is_connected(a)
 
 
 def test_seeds_vary():
@@ -87,7 +86,7 @@ def test_antichain_refusal_computes_one_binomial(monkeypatch):
 @pytest.mark.parametrize("n, m, max_card", [(4, 6, 2), (5, 10, 3), (4, 6, 4)])
 def test_sizes_at_the_antichain_bound_generate(n, m, max_card):
     h = generate_hypergraph(n, m, max_card, seed=0)
-    assert h.m == m and is_valid(h) and is_connected(h)
+    assert h.m == m and not validate(h) and is_connected(h)
 
 
 def test_sizes_that_cannot_connect_are_refused_at_once():
@@ -118,7 +117,7 @@ MISSED = (
 )
 def test_sizes_the_rejection_sampler_missed(n, m, max_card, seed):
     h = generate_hypergraph(n, m, max_card, seed)
-    assert h.m == m and is_valid(h) and is_connected(h)
+    assert h.m == m and not validate(h) and is_connected(h)
     assert all(2 <= len(e) <= max_card for e in h.edges)
 
 
@@ -200,7 +199,7 @@ def test_draws_are_simple_by_construction_without_validate(monkeypatch):
     monkeypatch.setattr(core, "validate", refuse)
     outputs = [generate_hypergraph(n, m, 4, s) for n, m, s in BENCHMARK_SIZES]
     monkeypatch.undo()
-    assert all(is_valid(h) and is_connected(h) for h in outputs)
+    assert all(not validate(h) and is_connected(h) for h in outputs)
 
 
 def _digest(hypergraphs) -> str:

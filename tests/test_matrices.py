@@ -199,6 +199,10 @@ def test_exact_vectors_are_integer_tuples(collar3):
     assert_int_tuple(is_collar(h))
 
 
+# the widest entry the exact routines accept
+WIDEST = 2**31 - 1
+
+
 def matrix_rows(entry, rows: int, cols: int):
     row = st.lists(entry, min_size=cols, max_size=cols)
     return st.lists(row, min_size=rows, max_size=rows)
@@ -206,21 +210,27 @@ def matrix_rows(entry, rows: int, cols: int):
 
 @st.composite
 def int_matrices(draw, max_rows: int = 6, max_cols: int = 7):
-    """Integer matrices with negative and large entries, often rank deficient,
-    plus a set of columns to hold at zero."""
+    """Integer matrices with negative entries and entries up to ±WIDEST,
+    often rank deficient, plus a set of columns to hold at zero."""
     rows = draw(st.integers(min_value=1, max_value=max_rows))
     cols = draw(st.integers(min_value=1, max_value=max_cols))
-    entry = st.integers(min_value=-6, max_value=6) | st.integers(-(10**12), 10**12)
     if draw(st.booleans()):
-        # a product of rows x k and k x cols factors has rank at most k
+        # a product of rows x k and k x cols factors has rank at most k; a sum
+        # of at most 6 products of factors within 2**14 stays below 2**31
+        factor = st.integers(min_value=-6, max_value=6) | st.integers(-(2**14), 2**14)
         k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
-        left = draw(matrix_rows(entry, rows, k))
-        right = draw(matrix_rows(entry, k, cols))
+        left = draw(matrix_rows(factor, rows, k))
+        right = draw(matrix_rows(factor, k, cols))
         data = [
             [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
             for i in range(rows)
         ]
     else:
+        entry = (
+            st.integers(min_value=-6, max_value=6)
+            | st.integers(-WIDEST, WIDEST)
+            | st.sampled_from((WIDEST, -WIDEST))
+        )
         data = draw(matrix_rows(entry, rows, cols))
     fixed = draw(st.frozensets(st.integers(min_value=0, max_value=cols - 1)))
     return data, fixed
@@ -230,8 +240,7 @@ def int_matrices(draw, max_rows: int = 6, max_cols: int = 7):
 @given(int_matrices())
 def test_exact_kernel_matches_fraction_rref(case):
     data, fixed = case
-    # object entries: the products of 10**12-sized factors exceed int64
-    mat = np.array(data, dtype=object)
+    mat = np.array(data, dtype=np.int64)
     assert exact_rank(mat) == rank_oracle(data)
     cols = len(data[0])
     for zero in (frozenset(), fixed):
@@ -248,13 +257,11 @@ def test_exact_kernel_matches_fraction_rref(case):
 def sparse_int_matrices(draw, max_rows: int = 8, max_cols: int = 8):
     """Mostly zero integer matrices, so that rows of one non-zero (the peel)
     and of two of equal size (the tie) are common. Entries are ±1 and ±2,
-    with 10**12 and 2**62 now and then: two columns of 2**62 tied with the
-    same sign sum past int64."""
+    with ±WIDEST now and then: two columns of WIDEST tied with the same
+    sign sum to 2**32 - 2, which the core holds in int64."""
     rows = draw(st.integers(min_value=0, max_value=max_rows))
     cols = draw(st.integers(min_value=1, max_value=max_cols))
-    entry = st.sampled_from(
-        (0,) * 12 + (1, -1, 2, -2) * 2 + (10**12, -(10**12), 2**62, -(2**62))
-    )
+    entry = st.sampled_from((0,) * 12 + (1, -1, 2, -2) * 2 + (WIDEST, -WIDEST))
     return draw(matrix_rows(entry, rows, cols))
 
 
@@ -291,14 +298,16 @@ def test_exact_kernel_of_generator_draws_ignores_the_row_order():
             assert exact_kernel(b[rng.permutation(b.shape[0])]) == basis
 
 
-def test_a_tie_past_int64_falls_back_on_the_core(caplog):
-    # x0 = x1 ties column 0 into column 1: 2**62 + 2**62 passes int64
-    data = [[1, -1, 0], [2**62, 2**62, 1]]
-    with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
-        got = [list(v) for v in exact_kernel(np.array(data, dtype=np.int64))]
-    assert got == kernel_oracle(data, 3) == [[1, 1, -(2**63)]]
-    assert fallback_reasons(caplog) == ["entries beyond int64"]
-    assert "2x3 matrix, 1x2 core" in caplog.records[0].getMessage()
+@pytest.mark.parametrize("w", [WIDEST, -WIDEST], ids=["plus", "minus"])
+def test_a_same_sign_tie_of_the_widest_entries_stays_in_int64(w):
+    # x0 = x1 ties column 0 into column 1, whose entry becomes w + w
+    data = [[1, -1, 0], [w, w, 1]]
+    mat = np.array(data, dtype=np.int64)
+    core, _, _ = matrices._core(mat)
+    assert core.dtype == np.int64 and core.tolist() == [[2 * w, 1]]
+    assert [list(v) for v in exact_kernel(mat)] == kernel_oracle(data, 3)
+    assert kernel_oracle(data, 3) == [[1, 1, -2 * w]]
+    assert exact_rank(mat) == rank_oracle(data) == 2
 
 
 def test_exact_kernel_matches_fraction_rref_without_rows():
@@ -335,13 +344,9 @@ def test_kernel_falls_back_to_fraction_free_when_the_prime_drops_the_rank(
 @pytest.mark.parametrize(
     "data, dtype, reason",
     [
-        # entries near 10**24: past int64, so no residue array is built
-        (
-            [[10**24, 2 * 10**24 + 1, 3, 0], [2 * 10**24, 4 * 10**24 + 2, 6, 0],
-             [1, 1, 1, 1]],
-            object,
-            "entries beyond int64",
-        ),
+        # the prime itself is an entry the exact routines accept: mod p the
+        # first column vanishes, so the vector (1, 0) fails the product
+        ([[matrices._PRIME, 1]], np.int32, "rank dropped mod p"),
         # the kernel vector (10**6, -1) lies past the reconstruction bound
         ([[1, 10**6]], np.int64, "reconstruction bound"),
         ([[40000, 39999, 7]], np.int64, "reconstruction bound"),
@@ -466,17 +471,30 @@ def test_exact_routines_refuse_non_matrix_shapes(mat):
         exact_kernel(mat)
 
 
-def test_exact_routines_accept_bool_and_integer_object_arrays():
+def test_exact_routines_accept_bool_and_entries_below_2_31():
     assert exact_rank(np.array([[True, False], [True, True]])) == 2
-    assert exact_rank(np.array([[1, 2], [2, 4]], dtype=object)) == 1
-    # numpy scalars in an object array are read as Python ints, so the
-    # elimination cannot wrap around int64
-    data = [[3 * 10**9, 7 * 10**9, 1], [5 * 10**9, 2 * 10**9, 3]]
-    scalars = np.array([[np.int64(x) for x in row] for row in data], dtype=object)
-    assert [list(v) for v in exact_kernel(scalars)] == kernel_oracle(data, 3)
-    assert exact_kernel(np.array([[2**64 - 1, 1]], dtype=np.uint64)) == [
-        (1, -(2**64 - 1))
-    ]
+    data = [[WIDEST, -WIDEST, 1], [-WIDEST, 3, WIDEST]]
+    for dtype in (np.int64, np.int32):
+        mat = np.array(data, dtype=dtype)
+        assert [list(v) for v in exact_kernel(mat)] == kernel_oracle(data, 3)
+        assert exact_rank(mat) == rank_oracle(data)
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.array([[1, 2], [2, 4]], dtype=object), "integer entries, not object"),
+        (np.array([[1, 2]], dtype=np.uint64), "integer entries, not uint64"),
+        (np.array([[1, 2**31]], dtype=np.int64), "absolute value below 2**31"),
+        (np.array([[-(2**31), 1]], dtype=np.int64), "absolute value below 2**31"),
+    ],
+    ids=["object", "uint64", "2**31", "-2**31"],
+)
+def test_exact_routines_refuse_entries_beyond_the_contract(mat, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_rank(mat)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_kernel(mat)
 
 
 def assert_sparse_products_match_dense(h):

@@ -61,7 +61,6 @@ PUBLIC_NAMES = [
     "is_collar",
     "is_connected",
     "is_uniform",
-    "is_valid",
     "line_degree_formula",
     "line_edge_count",
     "multigraph_is_connected",
@@ -129,7 +128,6 @@ PUBLIC_SIGNATURES = {
     "is_collar": "(h: 'Hypergraph') -> 'tuple[int, ...] | None'",
     "is_connected": "(h: 'Hypergraph') -> 'bool'",
     "is_uniform": "(h: 'Hypergraph') -> 'int | None'",
-    "is_valid": "(h: 'Hypergraph') -> 'bool'",
     "line_degree_formula": "(h: 'Hypergraph') -> 'list[int]'",
     "line_edge_count": "(h: 'Hypergraph') -> 'int'",
     "multigraph_is_connected": "(a: 'np.ndarray') -> 'bool'",
@@ -170,6 +168,36 @@ def test_public_signatures_are_pinned():
                 if inspect.isfunction(method) or inspect.ismethod(method):
                     signatures[f"{name}.{attr}"] = str(inspect.signature(method))
     assert signatures == PUBLIC_SIGNATURES
+
+
+# the fields of each exported NamedTuple record, with `=default` where one
+# is set; a dropped or reordered field shows in no signature above
+PUBLIC_RECORDS = {
+    "CheckEntry": (
+        "name", "passed", "details", "tolerance=None", "applicable=True", "note=''"
+    ),
+    "CheckReport": ("context", "entries"),
+    "Hypergraph": ("labels", "edges"),
+    "RegularityReport": (
+        "regular", "edge_regular", "skew_edge_regular", "linear", "edge_degree_sums"
+    ),
+    "Spectrum": ("eigenvalues", "tolerance"),
+    "Violation": ("rule", "message", "edges"),
+}
+
+
+def test_public_record_fields_are_pinned():
+    import hyperline
+
+    records = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(hyperline, name)
+        if hasattr(value, "_fields"):
+            defaults = value._field_defaults
+            records[name] = tuple(
+                f"{f}={defaults[f]!r}" if f in defaults else f for f in value._fields
+            )
+    assert records == PUBLIC_RECORDS
 
 
 def test_one_fraction_free_step():
