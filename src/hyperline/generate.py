@@ -5,9 +5,10 @@ Each draw is connected by construction. It draws m cardinalities in
 vertices, and visits the vertices in a random order: the first edge takes
 only uncovered vertices, and every later edge takes at least one covered
 vertex plus enough uncovered ones that all n end up covered. An edge that
-would equal or nest in an earlier one is redrawn; it is found by counting,
-over the per-vertex lists of placed edges, the vertices the new edge shares
-with each of them, so no pair of edges is scanned. A draw whose edge finds
+would equal or nest in an earlier one is redrawn: `_nests` counts, in a
+plain dict, how many of the edge's covered vertices each placed edge holds
+(its fresh vertices lie in none), and stops at the first placed edge that
+holds all of the new edge or all of its own vertices. A draw whose edge finds
 no simple placement in `EDGE_TRIES` redraws costs one attempt. A finished
 draw is simple by construction (sizes at least 2, distinct vertices, no
 edge equal to or nested in another), so it is returned without a call to
@@ -24,8 +25,6 @@ are unimodal in k, so that is the one C(n, k) with k nearest n // 2.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from itertools import chain
 from math import comb
 
 from .core import Hypergraph
@@ -51,6 +50,19 @@ def _sizes(rng: random.Random, n: int, m: int, top: int) -> list[int]:
     return sizes
 
 
+def _nests(old: list[int], s: int, through: list[list[int]], edges: list[list[int]]) -> bool:
+    """Whether an edge of size s with covered vertices `old` (its fresh ones
+    lie in no placed edge) shares s vertices, or all its own, with a placed edge."""
+    shared: dict[int, int] = {}
+    for v in old:
+        for j in through[v]:
+            c = shared.get(j, 0) + 1
+            if c == s or c == len(edges[j]):
+                return True
+            shared[j] = c
+    return False
+
+
 def _connected_edges(
     rng: random.Random, n: int, sizes: list[int]
 ) -> list[list[int]] | None:
@@ -70,13 +82,12 @@ def _connected_edges(
         hi = min(s - 1 if covered else s, len(uncovered))
         for _ in range(EDGE_TRIES):
             fresh = rng.randint(lo, hi)
-            e = uncovered[:fresh] + rng.sample(covered, s - fresh)
-            shared = Counter(chain.from_iterable(map(through.__getitem__, e)))
-            # sharing min(|e|, |f|) vertices means e equals or nests with f
-            if all(c < s and c < len(edges[j]) for j, c in shared.items()):
+            old = rng.sample(covered, s - fresh)
+            if not _nests(old, s, through, edges):
                 break
         else:
             return None
+        e = uncovered[:fresh] + old
         for v in e:
             through[v].append(len(edges))
         edges.append(e)
@@ -86,6 +97,10 @@ def _connected_edges(
 
 
 def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
+    """A simple connected hypergraph on vertices "1".."n" with m edges of
+    2..max_card vertices, the same for the same arguments. `ValueError` before
+    any draw for sizes that cannot be connected or cannot be simple (and for
+    n < 2, m < 1, max_card < 2), and after `MAX_ATTEMPTS` abandoned draws."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if m < 1:

@@ -82,12 +82,14 @@ def emit(h: Hypergraph) -> str:
         if label in seen:
             raise ValueError(f"repeated label {label!r} cannot be written to the text format")
         seen.add(label)
-    if 0 in h.degrees:
-        label = h.labels[h.degrees.index(0)]
+    covered = set().union(*h.edges)
+    if len(covered) < h.n:
+        label = h.labels[min(set(range(h.n)) - covered)]
         raise ValueError(f"isolated vertex {label!r} cannot be written to the text format")
     if () in h.edges:
         raise ValueError(
             f"empty edge {h.edges.index(())} cannot be written to the text format"
         )
-    lines = [" ".join(h.labels[v] for v in e) for e in h.edges]
+    labels = h.labels
+    lines = [" ".join([labels[v] for v in e]) for e in h.edges]
     return "\n".join(lines) + "\n"

@@ -10,6 +10,12 @@ from hyperline import Hypergraph
 
 TRIO_TEXT = "1 2 3\n1 4 5\n3 4 5\n"
 
+# (n, m, seed) of the generate benchmark workload, at --max-card 4
+BENCHMARK_SIZES = (
+    (40, 30, 1), (40, 30, 3), (46, 34, 2), (46, 34, 5), (50, 36, 2), (50, 36, 6),
+    (56, 40, 5), (56, 40, 6), (60, 42, 3), (60, 44, 1), (60, 44, 2),
+)
+
 
 def entry_map(report) -> dict:
     """The report's check entries by name."""

@@ -2,17 +2,20 @@
 
 Nothing here calls the code paths under test: connectivity is decided by
 relation closure, line multiplicities, linearity and nested edges by
-testing every pair of edges, `reduce_core` by rescanning to a fixpoint,
-collars by full subset enumeration (and by the search over all edges that
-the kernel-pruned search replaced), the incidence matrix entry by entry
-from the edge lists, characteristic polynomials by sympy, eigenvalues by
-isolating the real roots of that polynomial symbolically, and rank and
-kernel by a reduced row echelon form over `Fraction`s.
+testing every pair of edges, the generator's edge sampler by testing each
+candidate edge against every placed one as frozensets, `reduce_core` by
+rescanning to a fixpoint, collars by full subset enumeration (and by the
+search over all edges that the kernel-pruned search replaced), the
+incidence matrix entry by entry from the edge lists, characteristic
+polynomials by sympy, eigenvalues by isolating the real roots of that
+polynomial symbolically, and rank and kernel by a reduced row echelon form
+over `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -76,6 +79,35 @@ def nested_pairs_oracle(h: Hypergraph) -> list[tuple[int, int]]:
         for j, ej in enumerate(h.edges)
         if i != j and ei != ej and sets[i] <= sets[j]
     ]
+
+
+def connected_edges_by_nesting(
+    rng: random.Random, n: int, sizes: list[int], tries: int
+) -> list[list[int]] | None:
+    """`generate._connected_edges` with its clash test stated as set nesting:
+    a candidate edge is redrawn when it equals or nests with any placed edge,
+    tested pairwise as frozensets. It makes the same random calls in the same
+    order, so from one state it must give the same edges, or None."""
+    room = sum(s - 1 for s in sizes)
+    uncovered = rng.sample(range(n), n)
+    covered: list[int] = []
+    edges: list[list[int]] = []
+    for s in sizes:
+        room -= s - 1
+        lo = max(len(uncovered) - room, s - len(covered), 0)
+        hi = min(s - 1 if covered else s, len(uncovered))
+        for _ in range(tries):
+            fresh = rng.randint(lo, hi)
+            e = uncovered[:fresh] + rng.sample(covered, s - fresh)
+            new = frozenset(e)
+            if not any(new <= f or f <= new for f in map(frozenset, edges)):
+                break
+        else:
+            return None
+        edges.append(e)
+        covered += uncovered[:fresh]
+        del uncovered[:fresh]
+    return edges
 
 
 def reduce_core_fixpoint(h: Hypergraph) -> Hypergraph:

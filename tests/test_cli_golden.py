@@ -7,8 +7,9 @@ print eigenvalues (`spectrum`, `check --json`, `power --spectrum`) are left
 out of that digest: their last digits depend on the LAPACK build. A second
 digest covers `check --json` with every float rounded to 6 decimals. A third
 covers `line` and `info --json` on two larger instances whose line
-multiplicities exceed 1, and a fourth covers `collar` and `collar --search`,
-stdout and stderr, on four small instances.
+multiplicities exceed 1, a fourth covers `collar` and `collar --search`,
+stdout and stderr, on four small instances, and a fifth covers `generate` at
+the benchmark's sizes.
 """
 
 import hashlib
@@ -109,4 +110,15 @@ def test_collar_output_on_small_instances_is_pinned(capsys, tmp_path):
             )
     assert digest.hexdigest() == (
         "ded5f5e9f181852932c7d159d7ea772262f6b2bfdb2685ed68d934150f5939c4"
+    )
+
+
+def test_generate_output_at_benchmark_sizes_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for n, m, seed in helpers.BENCHMARK_SIZES:
+        argv = ["generate", "--n", str(n), "--m", str(m), "--max-card", "4", "--seed", str(seed)]
+        code = main(argv)
+        digest.update(f"{' '.join(argv)} -> {code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "d036b4b8ee92c660c637269d9ea481ed12f0f71732b0d4a14cf05828452661f4"
     )

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import networkx as nx
 import numpy as np
@@ -14,8 +15,8 @@ from hyperline import (
 )
 from hyperline import core, generate
 
-from helpers import adjacency
-from oracles import line_oracle
+from helpers import BENCHMARK_SIZES, adjacency
+from oracles import connected_edges_by_nesting, line_oracle
 
 
 def test_deterministic_per_seed():
@@ -121,6 +122,31 @@ def test_sizes_the_rejection_sampler_missed(n, m, max_card, seed):
     assert all(2 <= len(e) <= max_card for e in h.edges)
 
 
+def test_edge_sampler_matches_the_nesting_rule_draw_for_draw():
+    # dense sizes, up to the antichain bound, so that edges are redrawn and
+    # whole draws abandoned; each state is followed over several draws
+    outcomes = set()
+    for n in range(4, 11):
+        for max_card in (2, 3, 4, 5):
+            top = min(max_card, n)
+            widest = math.comb(n, max(2, min(top, n // 2)))
+            for m in {widest, widest - 1, 3 * widest // 4, widest // 2}:
+                if m > 40 or m * (top - 1) < n - 1:
+                    continue
+                for seed in range(3):
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    for _ in range(4):
+                        drawn = generate._connected_edges(
+                            fast, n, generate._sizes(fast, n, m, top)
+                        )
+                        assert drawn == connected_edges_by_nesting(
+                            slow, n, generate._sizes(slow, n, m, top), generate.EDGE_TRIES
+                        )
+                        assert fast.getstate() == slow.getstate()
+                        outcomes.add(drawn is None)
+    assert outcomes == {True, False}
+
+
 @st.composite
 def feasible_sizes(draw, max_card=st.integers(2, 6)):
     """(n, m, max_card, seed) with (n - 1) / (min(max_card, n) - 1) <= m <= n:
@@ -183,13 +209,6 @@ def test_outputs_validate_and_mutations_are_rejected():
         nested = Hypergraph(h.labels, list(h.edges) + [h.edges[0][:2]])
         rules = {v.rule for v in validate(nested)}
         assert "nested-edge" in rules or "duplicate-edge" in rules
-
-
-# (n, m, seed) of the generate benchmark workload, at --max-card 4
-BENCHMARK_SIZES = (
-    (40, 30, 1), (40, 30, 3), (46, 34, 2), (46, 34, 5), (50, 36, 2), (50, 36, 6),
-    (56, 40, 5), (56, 40, 6), (60, 42, 3), (60, 44, 1), (60, 44, 2),
-)
 
 
 def test_draws_are_simple_by_construction_without_validate(monkeypatch):

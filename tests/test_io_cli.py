@@ -112,6 +112,9 @@ def test_emit_rejects_isolated_vertices():
     # one edge per line: "a b" alone would parse back without "c"
     with pytest.raises(ValueError, match="isolated vertex 'c'"):
         emit(Hypergraph(["a", "b", "c"], [[0, 1]]))
+    # the lowest isolated index is named, not the last
+    with pytest.raises(ValueError, match="isolated vertex 'x'"):
+        emit(Hypergraph(["a", "x", "y", "b"], [[0, 3]]))
 
 
 def test_emit_rejects_empty_edges():
