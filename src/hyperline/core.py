@@ -35,7 +35,9 @@ class Hypergraph(_Fields):
 
     The incidence index, the degrees and the line multigraph are derived
     from the edges once, on first use, and cached on the value; every
-    reader of how edges meet reads them from here. `_replace` and `_make`
+    reader of how edges meet reads them from here. The line multigraph is
+    read off `incidence_matrix`, which is filled from the edges, so it
+    builds no incidence index. `_replace` and `_make`
     build the tuple directly, skipping the normalisation and the index
     check below.
     """
@@ -110,10 +112,10 @@ class Hypergraph(_Fields):
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """0/1 vertex-by-edge membership matrix (n x m), edges in input order,
-    filled from `h.incidence`."""
+    filled from `h.edges`, so it builds no incidence index."""
     b = np.zeros((h.n, h.m), dtype=np.int64)
-    rows = np.repeat(np.arange(h.n), h.degrees)
-    b[rows, list(chain.from_iterable(h.incidence))] = 1
+    cols = np.repeat(np.arange(h.m), [len(e) for e in h.edges])
+    b[list(chain.from_iterable(h.edges)), cols] = 1
     return b
 
 
@@ -136,19 +138,20 @@ def validate(h: Hypergraph) -> list[Violation]:
     is the one definition of "simple"; the generator does not call it,
     since its draws are simple by construction, and its tests check them
     against it. Nested pairs (i, j), e_i a proper subset of e_j, come in
-    ascending order from intersecting `h.incidence` over the vertices of
-    e_i, in O(Σ_e Σ_{v∈e} d(v)) rather than over all edge pairs; an empty
-    edge is nested in every non-empty one. An isolated vertex breaks no
-    rule; `h.degrees` shows it.
+    ascending order from the `h.incidence` list of e_i's vertex of least
+    degree, in O(Σ_e |e| min_{v∈e} d(v)) rather than over all edge pairs,
+    and a uniform `h` builds no incidence index at all; an empty edge is
+    nested in every non-empty one. An isolated vertex breaks no rule;
+    `h.degrees` shows it.
     """
-    out: list[Violation] = []
-    for i, e in enumerate(h.edges):
-        if len(e) == 1:
-            out.append(
-                Violation("cardinality-one", f"cardinality-one hyperedge (edge {i})", (i,))
-            )
+    edges = h.edges
+    out = [
+        Violation("cardinality-one", f"cardinality-one hyperedge (edge {i})", (i,))
+        for i, e in enumerate(edges)
+        if len(e) == 1
+    ]
     seen: dict[tuple[int, ...], int] = {}
-    for i, e in enumerate(h.edges):
+    for i, e in enumerate(edges):
         if e in seen:
             out.append(
                 Violation(
@@ -157,13 +160,16 @@ def validate(h: Hypergraph) -> list[Violation]:
             )
         else:
             seen[e] = i
-    for i, e in enumerate(h.edges):
-        # an edge holding e passes through all of its vertices; only a larger
-        # one nests it, which skips e and its duplicates
-        through = [h.incidence[v] for v in e]
-        holders = set(through[0]).intersection(*through[1:]) if e else range(h.m)
-        for j in sorted(holders):
-            if len(h.edges[j]) > len(e):
+    top = max(map(len, edges), default=0)
+    for i, e in enumerate(edges):
+        # only a larger edge nests e, and it passes through every vertex of
+        # e; no edge is larger than one of the largest size
+        if len(e) == top:
+            continue
+        holders = h.incidence[min(e, key=h.degrees.__getitem__)] if e else range(h.m)
+        members = set(e)
+        for j in holders:
+            if len(edges[j]) > len(e) and members.issubset(edges[j]):
                 out.append(Violation("nested-edge", f"edge {i} ⊆ edge {j}", (i, j)))
     return out
 

@@ -21,30 +21,24 @@ class HypergraphParseError(ValueError):
 def parse_text(text: str, source: str = "<string>") -> Hypergraph:
     """Parse the edge-per-line format, rejecting structurally invalid input.
 
-    Violations (singleton edges, duplicates, nested edges) are reported
-    with the source line numbers of the offending edges.
+    Each line is split once, and searched for a comment token only when
+    it holds a '#'. Labels are numbered in first-appearance order, so the
+    label list is the numbering dict's keys. Violations (singleton edges,
+    duplicates, nested edges) are reported with the source line numbers of
+    the offending edges.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[list[int]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = []
-        for tok in raw.split():
-            if tok.startswith("#"):
-                break
-            tokens.append(tok)
-        if not tokens:
-            continue
-        edge = []
-        for tok in tokens:
-            if tok not in index:
-                index[tok] = len(labels)
-                labels.append(tok)
-            edge.append(index[tok])
-        edges.append(edge)
-        edge_lines.append(lineno)
-    h = Hypergraph(labels, edges)
+        tokens = raw.split()
+        if "#" in raw:
+            cut = next((i for i, tok in enumerate(tokens) if tok[0] == "#"), None)
+            tokens = tokens[:cut]
+        if tokens:
+            edges.append([index.setdefault(tok, len(index)) for tok in tokens])
+            edge_lines.append(lineno)
+    h = Hypergraph(list(index), edges)
     problems = validate(h)
     if problems:
         msgs = []

@@ -64,6 +64,38 @@ def test_validate_empty_edge_is_nested_in_every_nonempty_edge():
     assert [v.edges for v in nested] == [(1, 0), (1, 2), (3, 0), (3, 2)]
 
 
+def test_validate_reports_duplicated_largest_edges_and_the_edges_they_nest():
+    # edges of the largest size nest nothing, yet their duplicates and the
+    # smaller edges they hold are still reported, in order
+    h = Hypergraph.from_edges(
+        [[0, 1, 2], [0, 1], [0, 1, 2], [1, 2], [3, 4, 5], [2], [3, 4, 5], [4, 5]]
+    )
+    assert [(v.rule, v.edges) for v in validate(h)] == [
+        ("cardinality-one", (5,)),
+        ("duplicate-edge", (0, 2)),
+        ("duplicate-edge", (4, 6)),
+        ("nested-edge", (1, 0)),
+        ("nested-edge", (1, 2)),
+        ("nested-edge", (3, 0)),
+        ("nested-edge", (3, 2)),
+        ("nested-edge", (5, 0)),
+        ("nested-edge", (5, 2)),
+        ("nested-edge", (5, 3)),
+        ("nested-edge", (7, 4)),
+        ("nested-edge", (7, 6)),
+    ]
+
+
+def test_validate_uniform_duplicates_build_no_incidence_index():
+    h = Hypergraph.from_edges([[0, 1], [1, 2], [0, 1], [1, 2], [0, 1]])
+    assert [(v.rule, v.edges) for v in validate(h)] == [
+        ("duplicate-edge", (0, 2)),
+        ("duplicate-edge", (1, 3)),
+        ("duplicate-edge", (0, 4)),
+    ]
+    assert "incidence" not in vars(h)
+
+
 _BEFORE_NESTED = ("cardinality-one", "duplicate-edge")
 
 

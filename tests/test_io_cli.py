@@ -42,6 +42,45 @@ def test_parse_comments_and_blanks():
     assert h.edges == ((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "text, labels, edges",
+    [
+        ("a b # c d\nc d\n", ("a", "b", "c", "d"), ((0, 1), (2, 3))),
+        (
+            "v#2 a\na b\nc e #x y\nc d",
+            ("v#2", "a", "b", "c", "e", "d"),
+            ((0, 1), (1, 2), (3, 4), (3, 5)),
+        ),
+        ("# only\na b\n  # indented\nb c\n", ("a", "b", "c"), ((0, 1), (1, 2))),
+        ("a b a\nb c\n", ("a", "b", "c"), ((0, 1), (1, 2))),
+        ("c d\nb c\na b\n", ("c", "d", "b", "a"), ((0, 1), (0, 2), (2, 3))),
+    ],
+    ids=["hash-mid-line", "hash-in-label", "comment-only", "repeat-in-line", "first-seen"],
+)
+def test_parse_tokens_comments_and_label_numbering(text, labels, edges):
+    h = parse_text(text)
+    assert (h.labels, h.edges) == (labels, edges)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\na b\n# c\nb a # x\n", "duplicate hyperedge (line 2, line 4)"),
+        ("a a\nb c\n", "cardinality-one hyperedge at line 1"),
+        (
+            "x y z\n# c\nx y\nx y z\n",
+            "duplicate hyperedge (line 1, line 4); "
+            "hyperedge at line 3 is contained in hyperedge at line 1; "
+            "hyperedge at line 3 is contained in hyperedge at line 4",
+        ),
+    ],
+)
+def test_parse_errors_count_comment_and_blank_lines(text, message):
+    with pytest.raises(HypergraphParseError) as err:
+        parse_text(text)
+    assert str(err.value) == f"<string>: {message}"
+
+
 def test_parse_cardinality_one_reports_line():
     with pytest.raises(HypergraphParseError, match="cardinality-one hyperedge at line 1"):
         parse_text("1\n")
@@ -404,6 +443,62 @@ def test_cli_collar_search_cap_on_kernel_support(tmp_path, capsys):
     assert "exceeds search cap (10 edges)" in capsys.readouterr().err
     assert main(["collar", path, "--search"]) == 0  # support of 20 edges
     assert json.loads(capsys.readouterr().out)["edges"] == [0, 1, 18, 19]
+
+
+def _collar_calls(tmp_path, hosts):
+    for k, h in enumerate(hosts):
+        path = write(tmp_path, f"host{k}.hg", emit(h))
+        yield h, ["collar", path]
+        yield h, ["collar", path, "--search"]
+
+
+def _collar_hosts():
+    from hyperline import find_collar_subhypergraph, generate_hypergraph
+
+    draws = [generate_hypergraph(n, n, 3, seed) for n in (8, 10, 12) for seed in range(16)]
+    return [helpers.interleaved_four_cycles(), helpers.collar3()[0]] + [
+        h for h in draws if find_collar_subhypergraph(h) is not None
+    ]
+
+
+def test_cli_collar_builds_no_line(tmp_path, capsys, monkeypatch):
+    from hyperline import Hypergraph
+
+    calls = [argv for _, argv in _collar_calls(tmp_path, _collar_hosts()[:3])]
+    expected = []
+    for argv in calls:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr())
+
+    def refuse(self):
+        raise AssertionError("a collar needs no line multigraph")
+
+    monkeypatch.setattr(Hypergraph, "line", property(refuse))
+    for argv, out in zip(calls, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr() == out
+
+
+def test_cli_collar_connected_matches_the_line_multigraph(tmp_path, capsys):
+    import numpy as np
+
+    from hyperline import multigraph_is_connected
+
+    hosts = _collar_hosts()
+    assert len(hosts) >= 10
+    seen = set()
+    for h, argv in _collar_calls(tmp_path, hosts):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if out == "none\n":
+            continue
+        data = json.loads(out)
+        support = data["edges"]
+        reference = multigraph_is_connected(h.line[np.ix_(support, support)])
+        assert data["connected"] is reference
+        seen.add(reference)
+    # interleaved_four_cycles' recognised witness is the two disjoint cycles
+    assert seen == {True, False}
 
 
 def test_cli_generate_deterministic(capsys):

@@ -48,6 +48,40 @@ def test_incidence_path():
     ]
 
 
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.integers(min_value=0, max_value=max(n - 1, 0)),
+                    max_size=4 if n else 0,
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+@example((3, [[], [0, 2]]))  # an empty edge and the isolated vertex 1
+def test_incidence_matrix_matches_dense_with_isolated_vertices_and_empty_edges(case):
+    n, edges = case
+    h = Hypergraph.from_edges(edges, n=n)
+    b = incidence_matrix(h)
+    assert b.dtype == np.int64 and np.array_equal(b, dense_incidence(h))
+    assert "incidence" not in vars(h)
+
+
+def test_power_gives_b_and_its_line_without_an_incidence_index(trio):
+    # the t=2 power of power_line_invariance_check and the power of
+    # `power --spectrum direct` are built in code, never parsed
+    p = power_hypergraph(trio, 2, 7)
+    p.line
+    incidence_matrix(p)
+    signless_spectrum(p)
+    assert "incidence" not in vars(p)
+
+
 def test_adjacency_trio_line(trio):
     assert trio.line.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
 
