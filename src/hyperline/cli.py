@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-edges",
         type=int,
         default=20,
-        help="refuse the search when more than this many edges carry a "
-        "non-zero entry of some ker B vector; a zero kernel answers none "
-        "with no search",
+        help="cap on the edges that lie in some even cover (an edge set "
+        "meeting every vertex an even number of times); past it, a zero "
+        "ker B answers none and any other kernel is refused",
     )
 
     p = sub.add_parser("generate", help="seeded random simple connected hypergraph")

@@ -23,12 +23,13 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
 
     Each line is split once, and searched for a comment token only when
     it holds a '#'. Labels are numbered in first-appearance order, so the
-    label list is the numbering dict's keys. Violations (singleton edges,
-    duplicates, nested edges) are reported with the source line numbers of
-    the offending edges.
+    label list is the numbering dict's keys. Those are strings and the
+    indices are in range, so `Hypergraph._make` takes the edges as sorted
+    here. Violations (singleton edges, duplicates, nested edges) are
+    reported with the source line numbers of the offending edges.
     """
     index: dict[str, int] = {}
-    edges: list[list[int]] = []
+    edges: list[tuple[int, ...]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -36,9 +37,10 @@ def parse_text(text: str, source: str = "<string>") -> Hypergraph:
             cut = next((i for i, tok in enumerate(tokens) if tok[0] == "#"), None)
             tokens = tokens[:cut]
         if tokens:
-            edges.append([index.setdefault(tok, len(index)) for tok in tokens])
+            ids = {index.setdefault(tok, len(index)) for tok in tokens}
+            edges.append(tuple(sorted(ids)))
             edge_lines.append(lineno)
-    h = Hypergraph(list(index), edges)
+    h = Hypergraph._make((tuple(index), tuple(edges)))
     problems = validate(h)
     if problems:
         msgs = []

@@ -25,9 +25,9 @@ only downstream, in the eigensolver.
   checks `B X = 0` with one exact product. A vector that passes proves
   its free column free over the rationals as well, so the basis is the
   one exact elimination gives. When the check cannot pass (an unlucky
-  prime, or an entry past that bound), `vanish` computes the core's
-  kernel instead on Python integers: the one fraction-free elimination
-  step, which the collar search also uses to restrict `ker B`.
+  prime, or an entry past that bound), `vanish`, one fraction-free
+  elimination step on Python integers, computes the core's kernel
+  instead; this fallback is its only caller.
   `exact_rank` is the column count less the kernel dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact

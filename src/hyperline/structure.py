@@ -9,13 +9,11 @@ A collar's witness is its signed ±1 indicator, a plain `tuple[int, ...]`
 with one entry per edge: +1 on one color, -1 on the other and 0 off the
 collar. It lies in the kernel of the incidence matrix `B`, and on a
 `k`-uniform host it is the exact certificate that `-k` is an eigenvalue of
-the line multigraph. So the search computes an exact kernel first. A zero
-kernel (`B` of full column rank) proves that no collar exists, with no
-search at all; otherwise only the edges in the kernel's support are
-searched, exhaustively, and `max_edges` caps the size of that support, not
-the edge count. Within the search, the kernel vectors that vanish on the
-edges a branch skips bound the edges it can still choose; each skip is
-one `matrices.vanish` step, the one the exact kernel's fallback runs.
+the line multigraph. Mod 2 it is an even cover, an edge set meeting every
+vertex an even number of times: the search runs over the support of a
+GF(2) basis of the even covers, held as bitmasks over the edges, and
+`max_edges` caps that support, not the edge count. Past the cap, a zero
+`ker B` over the rationals still proves that no collar exists.
 The library logs through the stdlib `logging` logger
 `hyperline.structure`, a child of `hyperline`, with no handler attached.
 """
@@ -23,13 +21,15 @@ The library logs through the stdlib `logging` logger
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _numpy as np
 from .core import Hypergraph, incidence_matrix, is_uniform
 from .line import line_degree_formula
-from .matrices import exact_kernel, incidence_product, vanish
+from .matrices import exact_kernel, incidence_product
 
 
 class RegularityReport(NamedTuple):
@@ -142,37 +142,50 @@ def collar_implies_bipartite_check(h: Hypergraph, x: Sequence[int]) -> bool:
 def find_collar_subhypergraph(
     h: Hypergraph, max_edges: int = 20
 ) -> tuple[int, ...] | None:
-    """Lexicographic search for a collar among edge subsets, within ker B.
+    """Lexicographic search for a collar among edge subsets, within the
+    even covers, the edge sets that meet every vertex an even number of times.
 
     A subset qualifies when every vertex it covers lies in exactly two of
-    its edges and its line graph is bipartite. Its signed indicator (+1 on
-    one color, -1 on the other, 0 off the subset) is then a kernel vector
-    of the incidence matrix `B`, so a collar uses only edges on which some
-    kernel vector is non-zero. The search first computes `ker B` exactly:
-    a zero kernel proves that no collar exists. Otherwise subsets of the
-    kernel support are grown in ascending index order, and the signed
-    indicator of the lexicographically first collar is returned as the
-    witness; that collar is the first among all edge subsets, since every
-    collar and each of its prefixes lie in the support. Supports larger
-    than `max_edges` are refused rather than searched.
+    its edges and its line graph is bipartite, so it is an even cover: a
+    vector of `ker B` over GF(2). One XOR elimination of the edges' vertex
+    bitmasks gives a basis of the even covers as bitmasks over the edges;
+    none proves that no collar exists. Otherwise subsets of their support
+    are grown in ascending index order, and the signed indicator of the
+    lexicographically first collar is returned as the witness; that collar
+    is the first among all edge subsets, since every collar and each of
+    its prefixes lie in the support. A support larger than `max_edges` is
+    refused rather than searched, unless the exact `ker B` over the
+    rationals, which holds every collar's signed indicator, is zero.
 
     A branch is cut as soon as a vertex would exceed two incidences. The
-    kernel cuts the rest: a collar below a branch is zero on every edge the
-    branch skips, so each skip restricts the kernel by one elimination
-    step; an edge outside the restricted kernel's support is skipped
-    without branching, and a branch ends when one of its chosen edges
-    leaves that support. This also ends a branch with a deficient vertex,
-    one covered once and met by no later support edge: once the last other
-    support edge through it is skipped, its row of `B x = 0` forces the
-    chosen edge through it to zero. Only branches that hold no collar are
-    cut, so the witness is unchanged.
+    even covers cut the rest: a collar below a branch leaves out every edge
+    the branch skips, so each skip XORs the first basis vector holding it
+    into the others that do and drops it; an edge outside the restricted
+    basis's support is skipped without branching, and a branch ends when
+    one of its chosen edges leaves that support. This also ends a branch
+    with a deficient vertex, one covered once and met by no later support
+    edge: once the last other support edge through it is skipped, its row
+    of `B x = 0` mod 2 forces the chosen edge through it out. Only branches
+    that hold no collar are cut, so the witness is unchanged.
 
-    Each call logs one debug record with `m`, the kernel dimension, the
-    support size and the outcome: "zero kernel", "witness found",
-    "exhaustive over support" or "support exceeds cap".
+    Each call logs one debug record with `m`, the even-cover dimension,
+    the support size and the outcome: "no even cover", "witness found",
+    "exhaustive over support", "full column rank" (the referee found a
+    zero `ker B`) or "support exceeds cap".
     """
-    kernel = exact_kernel(incidence_matrix(h))
-    support = [i for i in range(h.m) if any(vec[i] for vec in kernel)]
+    basis: list[int] = []  # the even covers, bit i for edge i
+    pivots: dict[int, int] = {}  # by their top bit
+    top = 1 << h.m  # the vertices lie at and above bit m, the edges below it
+    for i, e in enumerate(h.edges):
+        x = sum(top << v for v in e) | 1 << i
+        while x >= top and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        if x >= top:
+            pivots[x.bit_length()] = x
+        else:
+            basis.append(x)
+    live = reduce(or_, basis, 0)  # the edges the restricted basis holds
+    dim, support = len(basis), [i for i in range(h.m) if live >> i & 1]
 
     def log(outcome: str) -> None:
         # imported here: `logging` would add about 20% to `import hyperline.cli`
@@ -180,22 +193,24 @@ def find_collar_subhypergraph(
         import logging
 
         logging.getLogger(__name__).debug(
-            "collar search: m=%d kernel_dim=%d support=%d: %s",
-            h.m, len(kernel), len(support), outcome,
+            "collar search: m=%d even_cover_dim=%d support=%d: %s",
+            h.m, dim, len(support), outcome,
         )
 
-    if not kernel:
-        log("zero kernel")
+    if not basis:
+        log("no even cover")
         return None
     if len(support) > max_edges:
+        if not exact_kernel(incidence_matrix(h)):
+            log("full column rank")
+            return None
         log("support exceeds cap")
         raise ValueError(f"instance exceeds search cap ({max_edges} edges)")
-    sets = [set(h.edges[i]) for i in support]
+    sets = [h.edges[i] for i in support]
+    bits = [1 << i for i in support]
     count: dict[int, int] = {}
-    # spans the kernel vectors that vanish on every skipped edge, over `support`
-    basis = [[vec[i] for i in support] for vec in kernel]
     dead = False  # the current branch is known to hold no collar
-    stack: list[tuple[int, list[list[int]]]] = []  # chosen edges, each with its basis
+    stack: list[tuple[int, list[int], int]] = []  # chosen edges, each with basis, live
     j = 0
     while True:
         if dead or j == len(support):
@@ -203,33 +218,31 @@ def find_collar_subhypergraph(
             if not stack:
                 witness = None
                 break
-            j, basis = stack.pop()  # drop the last chosen edge and skip it
+            j, basis, live = stack.pop()  # drop the last chosen edge and skip it
             dead = False
             for v in sets[j]:
                 count[v] -= 1
-        elif any(vec[j] for vec in basis) and all(
-            count.get(v, 0) < 2 for v in sets[j]
-        ):
+        elif live & bits[j] and all(count.get(v, 0) < 2 for v in sets[j]):
             for v in sets[j]:
                 count[v] = count.get(v, 0) + 1
-            stack.append((j, basis))
+            stack.append((j, basis, live))
             if not all(c == 2 for c in count.values() if c):
                 j += 1
                 continue
-            witness = _two_color(h, [support[i] for i, _ in stack])
+            witness = _two_color(h, [support[i] for i, _, _ in stack])
             if witness is not None:
                 break
             # any valid superset adds only disjoint edges; the odd cycle stays
             dead = True
             continue
-        # edge j is skipped, so every collar below this branch has x_j = 0;
+        # edge j is skipped, so every collar below this branch leaves it out;
         # an edge outside the support of `basis` is skipped with no change
-        if any(vec[j] for vec in basis):
-            basis = vanish(basis, j)
-            # a collar is non-zero on each chosen edge
-            dead = not basis or any(
-                not any(vec[c] for vec in basis) for c, _ in stack
-            )
+        if live & bits[j]:
+            pivot = next(vec for vec in basis if vec & bits[j])
+            basis = [vec ^ pivot if vec & bits[j] else vec for vec in basis if vec != pivot]
+            live = reduce(or_, basis, 0)
+            # a collar holds each chosen edge
+            dead = not basis or any(not live & bits[c] for c, _, _ in stack)
         j += 1
 
     log("exhaustive over support" if witness is None else "witness found")

@@ -98,6 +98,32 @@ def support(x) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(x) if s)
 
 
+def small_simple_hypergraphs(max_n: int = 5) -> list[Hypergraph]:
+    """Every simple hypergraph with at least one edge on 2..max_n labelled
+    vertices, isolated vertices allowed: one per non-empty antichain of
+    vertex subsets of size at least 2, its edges in size order and then
+    lexicographic order. There are 7015 up to 5 vertices."""
+    out = []
+    for n in range(2, max_n + 1):
+        subsets = [
+            frozenset(s) for k in range(2, n + 1)
+            for s in itertools.combinations(range(n), k)
+        ]
+
+        def grow(start: int, chosen: list) -> None:
+            for i in range(start, len(subsets)):
+                # in size order, so only a chosen subset can nest in this one
+                if any(c <= subsets[i] for c in chosen):
+                    continue
+                chosen.append(subsets[i])
+                out.append(Hypergraph.from_edges([sorted(c) for c in chosen], n=n))
+                grow(i + 1, chosen)
+                chosen.pop()
+
+        grow(0, [])
+    return out
+
+
 def cycle(n: int) -> Hypergraph:
     return Hypergraph.from_edges([(i, (i + 1) % n) for i in range(n)], n=n)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from hyperline import (
+    Hypergraph,
     HypergraphParseError,
     emit,
     parse_path,
@@ -60,6 +62,35 @@ def test_parse_comments_and_blanks():
 def test_parse_tokens_comments_and_label_numbering(text, labels, edges):
     h = parse_text(text)
     assert (h.labels, h.edges) == (labels, edges)
+
+
+def parse_by_constructor(text):
+    """The edge-per-line format, comments aside, read into the public
+    constructor, which normalises every edge itself."""
+    index = {}
+    edges = [
+        [index.setdefault(tok, len(index)) for tok in line.split()]
+        for line in text.splitlines()
+        if line.split()
+    ]
+    return Hypergraph(list(index), edges)
+
+
+def test_parse_text_equals_the_public_constructor(corpus):
+    rng = random.Random(0)
+    for h in corpus + helpers.small_simple_hypergraphs():
+        # each edge's labels shuffled, one of them repeated
+        lines = []
+        for e in h.edge_label_sets():
+            tokens = [*e, rng.choice(e)]
+            rng.shuffle(tokens)
+            lines.append(" ".join(tokens))
+        text = "\n".join(lines) + "\n"
+        parsed = parse_text(text)
+        assert parsed == parse_by_constructor(text)
+        assert type(parsed) is Hypergraph
+        assert all(type(label) is str for label in parsed.labels)
+        assert all(type(e) is tuple for e in parsed.edges)
 
 
 @pytest.mark.parametrize(
@@ -661,10 +692,13 @@ def test_cli_loads_numpy_only_to_build_a_matrix(tmp_path):
         ["power", path, "-t", "2", "-k", "6"],
         ["info", bad],
         ["--help"],
+        ["collar", path, "--search"],
         ["check", path],
     ]
     seen = json.loads(fresh_python(NUMPY_AFTER_MAIN, json.dumps(calls)))
-    assert seen == [[0, False], [0, False], [0, False], [2, False], [0, False], [0, True]]
+    assert seen == [
+        [0, False], [0, False], [0, False], [2, False], [0, False], [0, False], [0, True]
+    ]
 
 
 def test_numpy_shim_caches_what_it_hands_out():

@@ -1,4 +1,7 @@
+import contextlib
+import faulthandler
 import logging
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +27,29 @@ from oracles import (
     collar_search_unpruned,
     collar_witness_oracle,
 )
+
+
+@pytest.fixture(scope="module")
+def terminal_stderr(pytestconfig):
+    """A copy of the terminal's stderr, taken while pytest's capture is
+    suspended: a process that faulthandler ends loses what was captured."""
+    # None under `-p no:capture`, when fd 2 is the terminal's already
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        fd = os.dup(2)
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_guard(terminal_stderr):
+    """A test still running after 60 s prints every thread's traceback and
+    ends the run, so a hung search fails within minutes. It is armed per
+    test: the faulthandler timer is one per process, and pytest's own
+    `faulthandler_timeout` re-arms and cancels it around every test."""
+    faulthandler.dump_traceback_later(60, exit=True, file=terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def test_regularity_cycle():
@@ -233,18 +259,41 @@ def test_find_collar_cap_counts_kernel_support():
         find_collar_subhypergraph(with_c4, max_edges=3)
 
 
+def test_find_collar_cap_counts_even_cover_support():
+    # the bridge (2, 3) lies in no even cover, though ker B is non-zero on it
+    h = helpers.odd_bicycle()
+    assert all(any(v[i] for v in exact_kernel(incidence_matrix(h))) for i in range(7))
+    assert find_collar_subhypergraph(h, max_edges=6) is None
+    # the triangle is an even cover, but B has full column rank
+    triangle = helpers.cycle(3)
+    assert not exact_kernel(incidence_matrix(triangle))
+    assert find_collar_subhypergraph(triangle, max_edges=2) is None
+
+
+def test_find_collar_matches_unpruned_search_on_every_small_hypergraph():
+    found = 0
+    hypergraphs = helpers.small_simple_hypergraphs()
+    for h in hypergraphs:
+        w = find_collar_subhypergraph(h, max_edges=h.m)
+        assert w == collar_search_unpruned(h)
+        found += w is not None
+    assert (len(hypergraphs), found) == (7015, 1286)
+
+
 def test_find_collar_logs_why(caplog):
     caplog.set_level(logging.DEBUG, logger="hyperline")
     assert find_collar_subhypergraph(helpers.path(5)) is None
     assert find_collar_subhypergraph(helpers.odd_bicycle()) is None
     assert find_collar_subhypergraph(helpers.cycle(4)) is not None
+    assert find_collar_subhypergraph(helpers.cycle(3), max_edges=2) is None
     with pytest.raises(ValueError):
         find_collar_subhypergraph(helpers.complete_uniform(6, 3), max_edges=10)
     assert [r.getMessage() for r in caplog.records] == [
-        "collar search: m=4 kernel_dim=0 support=0: zero kernel",
-        "collar search: m=7 kernel_dim=1 support=7: exhaustive over support",
-        "collar search: m=4 kernel_dim=1 support=4: witness found",
-        "collar search: m=20 kernel_dim=14 support=20: support exceeds cap",
+        "collar search: m=4 even_cover_dim=0 support=0: no even cover",
+        "collar search: m=7 even_cover_dim=2 support=6: exhaustive over support",
+        "collar search: m=4 even_cover_dim=1 support=4: witness found",
+        "collar search: m=3 even_cover_dim=1 support=3: full column rank",
+        "collar search: m=20 even_cover_dim=14 support=20: support exceeds cap",
     ]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     assert all(r.name.startswith("hyperline") for r in caplog.records)
