@@ -1,8 +1,8 @@
 """hyperline: line multigraphs of general hypergraphs.
 
 Exact incidence algebra (numpy integer matrices, integer kernels by
-elimination modulo a prime, certified exactly, with the collar search's
-fraction-free step as the fallback), floating spectra from one symmetric
+elimination modulo a prime, certified exactly, with fraction-free
+elimination as the fallback), floating spectra from one symmetric
 eigensolver, collar recognition and exact eigenvalue certificates, and
 general power hypergraphs.
 

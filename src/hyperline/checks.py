@@ -182,10 +182,10 @@ def run_all_checks(
         if uniform is None:
             entries.append(skipped("collar-minus-k-eigenvalue", "collar host not uniform"))
         else:
-            # on a k-uniform host the signed indicator certifies -k exactly
-            ok = spec_line.contains(-float(uniform), tolerance)
+            # on a k-uniform host the signed indicator certifies -k exactly,
+            # and k = r, so -k is the eigenvalue the -rank entry looked for
             entries.append(
-                CheckEntry("collar-minus-k-eigenvalue", ok, {"k": uniform}, tolerance)
+                CheckEntry("collar-minus-k-eigenvalue", has_eig, {"k": uniform}, tolerance)
             )
 
     # rho(Q) - r <= rho(A_L) <= rho(Q) - s, tight exactly when uniform

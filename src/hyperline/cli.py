@@ -9,7 +9,8 @@ Each subparser names its handler with `set_defaults(run=...)`. `main`
 reads the input file once, for every subcommand that takes one, and calls
 `args.run(h, args)`; `generate` takes no file and ignores `h`. The
 argument parser is built once per process, at import, and reused by every
-`main` call; `build_parser` still returns a fresh one.
+`main` call; `build_parser` still returns a fresh one. `info`'s and
+`collar`'s `connected` come from `core`'s incidence walk, with no `h.line`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from . import _numpy as np
 from .checks import run_all_checks
 from .core import (
+    _edges_connected,
     is_connected,
     is_uniform,
     rank_corank,
@@ -227,21 +229,6 @@ def _cmd_collar(h, args) -> int:
     }
     print(json.dumps(data, indent=2))
     return 0
-
-
-def _edges_connected(h, chosen: list[int]) -> bool:
-    """Whether the non-empty `chosen` edges span one component of the line
-    multigraph, by a breadth-first search through `h.incidence`; it builds
-    no `h.line`."""
-    rest = set(chosen[1:])
-    queue = chosen[:1]
-    for i in queue:
-        for v in h.edges[i]:
-            for j in h.incidence[v]:
-                if j in rest:
-                    rest.remove(j)
-                    queue.append(j)
-    return not rest
 
 
 def _cmd_generate(_, args) -> int:

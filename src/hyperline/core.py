@@ -17,7 +17,6 @@ length and equal a plain tuple of their fields.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -189,27 +188,31 @@ def is_uniform(h: Hypergraph) -> int | None:
 
 
 def is_connected(h: Hypergraph) -> bool:
-    """Connectivity of the vertex-edge incidence structure.
-
-    An isolated vertex forms its own component, so a hypergraph with one
-    is disconnected (unless it is the only vertex).
-    """
+    """Connectivity of the vertex-edge incidence structure: true with at
+    most one vertex, and otherwise when no vertex is isolated (one would be
+    a component of its own) and the non-empty edges form one component; an
+    empty edge meets nothing and joins nothing."""
     if h.n <= 1:
         return True
-    seen_v = {0}
-    seen_e: set[int] = set()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for i in h.incidence[v]:
-            if i in seen_e:
-                continue
-            seen_e.add(i)
-            for u in h.edges[i]:
-                if u not in seen_v:
-                    seen_v.add(u)
-                    queue.append(u)
-    return len(seen_v) == h.n
+    return all(h.degrees) and _edges_connected(h, [i for i, e in enumerate(h.edges) if e])
+
+
+def _edges_connected(h: Hypergraph, chosen: list[int]) -> bool:
+    """Whether the non-empty `chosen` edges form one component, two edges
+    meeting when they share a vertex, by a breadth-first search that reads
+    each vertex's `h.incidence` list once; it builds no `h.line`."""
+    rest = set(chosen[1:])
+    queue = chosen[:1]
+    seen_v = [False] * h.n
+    for i in queue:
+        for v in h.edges[i]:
+            if not seen_v[v]:
+                seen_v[v] = True
+                for j in h.incidence[v]:
+                    if j in rest:
+                        rest.remove(j)
+                        queue.append(j)
+    return not rest
 
 
 def multigraph_is_connected(a: np.ndarray) -> bool:

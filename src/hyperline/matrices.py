@@ -25,9 +25,8 @@ only downstream, in the eigensolver.
   checks `B X = 0` with one exact product. A vector that passes proves
   its free column free over the rationals as well, so the basis is the
   one exact elimination gives. When the check cannot pass (an unlucky
-  prime, or an entry past that bound), `vanish`, one fraction-free
-  elimination step on Python integers, computes the core's kernel
-  instead; this fallback is its only caller.
+  prime, or an entry past that bound), `_kernel_fraction_free` computes
+  the core's kernel on Python integers instead.
   `exact_rank` is the column count less the kernel dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
@@ -83,36 +82,30 @@ def gram_identity_check(h: Hypergraph) -> bool:
     return listed and sum(mults) == line_edge_count(h)
 
 
-def vanish(basis: list[list[int]], j: int) -> list[list[int]]:
-    """An integer basis of the vectors in the span of `basis` with x_j = 0:
-    one fraction-free elimination step, pivoting on the first vector that
-    is non-zero at j, each result divided by its content."""
-    p = next(i for i, vec in enumerate(basis) if vec[j])
-    pivot, a = basis[p], basis[p][j]
-    out = basis[:p]
-    for vec in basis[p + 1:]:
-        if vec[j]:
-            b = vec[j]
-            vec = [a * x - b * y for x, y in zip(vec, pivot)]
-            g = gcd(*vec)
-            vec = [x // g for x in vec]
-        out.append(vec)
-    return out
-
-
 def _kernel_fraction_free(a: np.ndarray) -> list[list[int]]:
-    """Integer kernel basis of `a` by `vanish`, one vector per free column.
+    """Integer kernel basis of `a` by fraction-free elimination on Python
+    integers, one vector per free column.
 
     Column c of `[a; I]` starts as the vector `(a e_c, e_c)`. Each row
-    coordinate vanishes in turn, and the `I` part of what is left is the
-    kernel. A vector combines only with pivots from earlier columns, so each
-    is the rational basis vector of its free column, up to scale.
+    coordinate j vanishes in turn: the first vector non-zero at j is the
+    pivot and leaves the basis, and every later one non-zero at j becomes
+    `pivot[j] * vec - vec[j] * pivot`, divided by its content. The `I` part
+    of what is left is the kernel. A vector combines only with pivots from
+    earlier columns, so each is the rational basis vector of its free
+    column, up to scale.
     """
     n_rows, n_cols = a.shape
     basis = np.vstack([a, np.eye(n_cols, dtype=np.int64)]).T.tolist()
     for j in range(n_rows):
-        if any(vec[j] for vec in basis):
-            basis = vanish(basis, j)
+        p = next((i for i, vec in enumerate(basis) if vec[j]), None)
+        if p is None:
+            continue
+        pivot = basis.pop(p)
+        for i in range(p, len(basis)):
+            if basis[i][j]:
+                vec = [pivot[j] * x - basis[i][j] * y for x, y in zip(basis[i], pivot)]
+                g = gcd(*vec)
+                basis[i] = [x // g for x in vec]
     return [vec[n_rows:] for vec in basis]
 
 
@@ -334,8 +327,8 @@ def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     through the ties, are those of the whole matrix.
 
     The core's basis comes from elimination modulo a prime, certified by
-    an exact product; when the certificate fails, `vanish` steps on Python
-    integers compute it instead, and a debug record on the
+    an exact product; when the certificate fails, fraction-free elimination
+    on Python integers computes it instead, and a debug record on the
     `hyperline.matrices` logger gives the shapes of the matrix and its
     core, and the reason.
     """

@@ -1,4 +1,7 @@
+import contextlib
+import faulthandler
 import math
+import os
 import random
 
 import pytest
@@ -6,6 +9,29 @@ import pytest
 from hyperline import generate_hypergraph
 
 import helpers
+
+
+@pytest.fixture(scope="session")
+def terminal_stderr(pytestconfig):
+    """A copy of the terminal's stderr, taken while pytest's capture is
+    suspended: a process that faulthandler ends loses what was captured."""
+    # None under `-p no:capture`, when fd 2 is the terminal's already
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        fd = os.dup(2)
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_guard(terminal_stderr):
+    """A test still running after 60 s prints every thread's traceback and
+    ends the run, so a hung test in any module fails within minutes. It is
+    armed per test: the faulthandler timer is one per process, and pytest's
+    own `faulthandler_timeout` re-arms and cancels it around every test."""
+    faulthandler.dump_traceback_later(60, exit=True, file=terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def corpus_params(seed: int) -> tuple[int, int]:
@@ -44,3 +70,10 @@ def skew_family():
 @pytest.fixture(scope="session")
 def equality_family():
     return helpers.uniform_edge_regular_family()
+
+
+@pytest.fixture(scope="session")
+def small_simple():
+    """`helpers.small_simple_hypergraphs()`: all 7015 simple hypergraphs on
+    2..5 labelled vertices."""
+    return helpers.small_simple_hypergraphs()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 
 from hyperline import Hypergraph
@@ -122,6 +123,14 @@ def small_simple_hypergraphs(max_n: int = 5) -> list[Hypergraph]:
 
         grow(0, [])
     return out
+
+
+def incidence_graph(h: Hypergraph) -> nx.Graph:
+    """The bipartite vertex-edge incidence graph; an empty edge is no node."""
+    g = nx.Graph()
+    g.add_nodes_from(("v", v) for v in range(h.n))
+    g.add_edges_from((("v", v), ("e", i)) for i, e in enumerate(h.edges) for v in e)
+    return g
 
 
 def cycle(n: int) -> Hypergraph:

@@ -284,3 +284,14 @@ def test_checks_of_larger_inputs_are_invariant_under_permutations(h):
         assert_checks_invariant(
             h, rng.permutation(h.n).tolist(), rng.permutation(h.m).tolist()
         )
+
+
+def test_checks_pass_on_every_small_hypergraph(small_simple):
+    reports = [run_all_checks(h) for h in small_simple]
+    assert all(report.passed for report in reports)
+    certified = [
+        entry_map(report)["minus-rank-certificate-iff"].details["certificate"]
+        for report in reports
+    ]
+    on_five = [c for h, c in zip(small_simple, certified) if h.n == 5]
+    assert (len(on_five), sum(on_five), sum(certified)) == (6893, 1197, 1207)

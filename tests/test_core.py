@@ -1,6 +1,7 @@
 import itertools
 import pickle
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -206,6 +207,25 @@ def test_connected_examples(trio):
 @pytest.mark.parametrize("labels", [[], ["a"]])
 def test_connected_on_at_most_one_vertex(labels):
     assert is_connected(Hypergraph(labels, []))
+
+
+@pytest.mark.parametrize(
+    "edges, n, connected",
+    [
+        # an empty edge meets nothing, and joins or splits nothing
+        ([[0, 1], []], None, True),
+        ([[], [0, 1]], None, True),
+        ([[0, 1], []], 3, False),
+        ([], 2, False),
+    ],
+)
+def test_connected_skips_empty_edges(edges, n, connected):
+    assert is_connected(Hypergraph.from_edges(edges, n=n)) is connected
+
+
+def test_connected_matches_networkx_on_every_small_hypergraph(small_simple):
+    for h in small_simple:
+        assert is_connected(h) == nx.is_connected(helpers.incidence_graph(h))
 
 
 def test_connected_matches_oracle_exhaustive_n5():

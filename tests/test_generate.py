@@ -15,7 +15,7 @@ from hyperline import (
 )
 from hyperline import core, generate
 
-from helpers import BENCHMARK_SIZES, adjacency
+from helpers import BENCHMARK_SIZES, adjacency, incidence_graph
 from oracles import connected_edges_by_nesting, line_oracle
 
 
@@ -157,13 +157,6 @@ def feasible_sizes(draw, max_card=st.integers(2, 6)):
     lo = math.ceil((n - 1) / (min(card, n) - 1))
     m = draw(st.integers(lo, n if n >= 3 else 1))
     return n, m, card, draw(st.integers(0, 2**32))
-
-
-def incidence_graph(h: Hypergraph) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(("v", v) for v in range(h.n))
-    g.add_edges_from((("v", v), ("e", i)) for i, e in enumerate(h.edges) for v in e)
-    return g
 
 
 @settings(deadline=None, max_examples=60)

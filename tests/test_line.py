@@ -245,6 +245,14 @@ def test_from_multigraph_reconstructs(g):
     assert np.array_equal(from_multigraph(g).line, g)
 
 
+def test_uniformize_and_reduce_core_keep_the_line_on_every_small_hypergraph(
+    small_simple,
+):
+    for h in small_simple:
+        assert np.array_equal(uniformize(h).line, h.line)
+        assert np.array_equal(reduce_core(h).line, h.line)
+
+
 def test_regular_uniform_line_degree_formula():
     # d-regular, k-uniform: every line degree is k(d-1)
     for h, k, d in [

@@ -397,10 +397,10 @@ def test_wide_entries_fall_back_to_fraction_free(caplog, data, dtype, reason):
 
 
 def test_certified_route_runs_no_fraction_free_step(monkeypatch, caplog):
-    def refuse(basis, j):
+    def refuse(a):
         raise RuntimeError("fraction-free elimination ran")
 
-    monkeypatch.setattr(matrices, "vanish", refuse)
+    monkeypatch.setattr(matrices, "_kernel_fraction_free", refuse)
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
         assert exact_kernel(incidence_matrix(helpers.cycle(4))) == [(1, -1, 1, -1)]
         # x0 = -2/3 x2: read back by rational reconstruction
@@ -408,6 +408,21 @@ def test_certified_route_runs_no_fraction_free_step(monkeypatch, caplog):
         assert exact_rank(incidence_matrix(helpers.circulant(60, 4))) == 57
         assert exact_rank(np.zeros((0, 3), dtype=np.int64)) == 0
     assert not fallback_reasons(caplog)
+
+
+def test_wide_certificate_product_runs_on_python_ints(monkeypatch):
+    # rows d_i e_i + e_6: the kernel vector is (-l/d_1, ..., -l/d_5, l) up to
+    # sign, l = lcm(d), so the certifying product passes 2**62 and must run
+    # on object entries; mod p it is read back by rational reconstruction
+    def refuse(a):
+        raise RuntimeError("fraction-free elimination ran")
+
+    monkeypatch.setattr(matrices, "_kernel_fraction_free", refuse)
+    d = (30000, 30001, 29999, 29997, 30007)
+    rows = [[d[i] if j == i else int(j == 5) for j in range(6)] for i in range(5)]
+    (vec,) = exact_kernel(np.array(rows))
+    assert vec[-1] == -8101079801998800210000
+    assert [list(vec)] == kernel_oracle(rows, 6)
 
 
 @pytest.mark.parametrize(

@@ -201,11 +201,11 @@ def test_public_record_fields_are_pinned():
 
 
 def test_one_fraction_free_step():
-    # the exact kernel's fallback is the one caller of its step, which the
-    # package does not export; the collar search eliminates over GF(2)
+    # fraction-free elimination is one private routine, the exact kernel's
+    # fallback; the collar search eliminates over GF(2)
     import hyperline.matrices
     import hyperline.structure
 
-    assert callable(hyperline.matrices.vanish)
-    assert not hasattr(hyperline.structure, "vanish")
-    assert not hasattr(hyperline, "vanish")
+    assert callable(hyperline.matrices._kernel_fraction_free)
+    for module in (hyperline.matrices, hyperline.structure, hyperline):
+        assert not hasattr(module, "vanish")

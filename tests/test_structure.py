@@ -1,7 +1,4 @@
-import contextlib
-import faulthandler
 import logging
-import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,29 +24,6 @@ from oracles import (
     collar_search_unpruned,
     collar_witness_oracle,
 )
-
-
-@pytest.fixture(scope="module")
-def terminal_stderr(pytestconfig):
-    """A copy of the terminal's stderr, taken while pytest's capture is
-    suspended: a process that faulthandler ends loses what was captured."""
-    # None under `-p no:capture`, when fd 2 is the terminal's already
-    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
-    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
-        fd = os.dup(2)
-    yield fd
-    os.close(fd)
-
-
-@pytest.fixture(autouse=True)
-def wall_clock_guard(terminal_stderr):
-    """A test still running after 60 s prints every thread's traceback and
-    ends the run, so a hung search fails within minutes. It is armed per
-    test: the faulthandler timer is one per process, and pytest's own
-    `faulthandler_timeout` re-arms and cancels it around every test."""
-    faulthandler.dump_traceback_later(60, exit=True, file=terminal_stderr)
-    yield
-    faulthandler.cancel_dump_traceback_later()
 
 
 def test_regularity_cycle():
