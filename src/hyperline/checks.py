@@ -6,12 +6,13 @@ floating spectra, closed forms vs. direct constructions), so a failing
 entry means a genuine inconsistency rather than a tolerance artifact.
 
 The three float claims (the -rank floor, the spectral-radius sandwich and
-the degree-sum window) are decided here and nowhere else: a bound holds
-when it is met to within the caller's tolerance, and is attained when the
-gap to it is at most that tolerance. Attainment is reported, not required:
-where the paper says it holds (a uniform input, and for the window an
-edge-regular one too) the two bounds coincide, so the bound check already
-implies it, and elsewhere a strict gap can lie below any tolerance.
+the degree-sum window) are decided here and nowhere else, and the caller's
+tolerance decides only whether each bound holds. Whether a bound is
+attained is read from exact flags: the sandwich is tight exactly when the
+input is uniform, and the degree-sum window exactly when it is uniform and
+edge-regular. On a connected simple input these flags and the paper's
+attainment are equivalent (Perron-Frobenius monotonicity), whereas a float
+test cannot tell a strict gap below the tolerance from an exact tie.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Any, NamedTuple
 from .core import (
     Hypergraph,
     is_connected,
-    is_uniform,
     multigraph_is_connected,
     rank_corank,
 )
@@ -88,16 +88,13 @@ def run_all_checks(
 ) -> CheckReport:
     r, s = rank_corank(h)
     connected = is_connected(h)
-    uniform = is_uniform(h)
+    uniform = r if r == s else None
     a = h.line
     line_degrees = a.sum(axis=1).tolist()
     regularity = regularity_report(h)
     spec_line = eigenvalues_symmetric(a, tolerance)
     spec_q = signless_spectrum(h, tolerance)
     entries: list[CheckEntry] = []
-
-    def attained(value: float, bound: float) -> bool:
-        return abs(value - bound) <= tolerance
 
     def skipped(name: str, note: str) -> CheckEntry:
         return CheckEntry(name, True, {}, applicable=False, note=note)
@@ -198,8 +195,6 @@ def run_all_checks(
         "corank": s,
         "uniform": r == s,
     }
-    if connected:
-        details["equality"] = attained(rho_line, rho_q - r) or attained(rho_line, rho_q - s)
     entries.append(CheckEntry("spectral-radius-sandwich", ok, details, tolerance))
 
     # edge degree sums bound rho(Q), tight exactly when uniform and edge-regular
@@ -213,8 +208,6 @@ def run_all_checks(
         "rho_q": rho_q,
         "uniform_and_edge_regular": homogeneous,
     }
-    if connected:
-        details["equality"] = attained(rho_q, lower) or attained(rho_q, upper)
     entries.append(CheckEntry("degree-sum-bounds", ok, details, tolerance))
 
     entries.append(

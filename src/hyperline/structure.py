@@ -155,7 +155,8 @@ def find_collar_subhypergraph(
     is the first among all edge subsets, since every collar and each of
     its prefixes lie in the support. A support larger than `max_edges` is
     refused rather than searched, unless the exact `ker B` over the
-    rationals, which holds every collar's signed indicator, is zero.
+    rationals, which holds every collar's signed indicator, is zero. A
+    negative `max_edges` is refused with `ValueError`.
 
     A branch is cut as soon as a vertex would exceed two incidences. The
     even covers cut the rest: a collar below a branch leaves out every edge
@@ -173,6 +174,8 @@ def find_collar_subhypergraph(
     "exhaustive over support", "full column rank" (the referee found a
     zero `ker B`) or "support exceeds cap".
     """
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be non-negative, got {max_edges}")
     basis: list[int] = []  # the even covers, bit i for edge i
     pivots: dict[int, int] = {}  # by their top bit
     top = 1 << h.m  # the vertices lie at and above bit m, the edges below it

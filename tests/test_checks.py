@@ -14,7 +14,6 @@ from hyperline.cli import main
 import helpers
 import strategies
 from helpers import adjacency, entry_map
-from oracles import dense_incidence
 
 build_line = Hypergraph.line.func
 
@@ -33,7 +32,7 @@ def test_checks_trio(trio):
     entries = entry_map(report)
     assert entries["gram-identity"].passed
     assert entries["collar-line-bipartite"].applicable is False
-    assert entries["spectral-radius-sandwich"].details["equality"] is True
+    assert entries["spectral-radius-sandwich"].details["uniform"] is True
     # each skipped entry gets a details dict of its own
     skipped = [e.details for e in report.entries if not e.applicable]
     assert len(skipped) == 2 and skipped[0] == {} and skipped[0] is not skipped[1]
@@ -72,7 +71,7 @@ def test_checks_disconnected_input():
     entries = entry_map(report)
     # the correspondence itself still holds on both sides
     assert entries["connectivity-correspondence"].passed
-    # equality-iff halves are not asserted without connectivity
+    # attainment is read from the exact flags, never from a float gap
     assert "equality" not in entries["spectral-radius-sandwich"].details
 
 
@@ -106,14 +105,16 @@ def test_checks_pass_on_families(skew_family, equality_family):
 
 
 # the strict upper sandwich gap is 1.8e-11, 1.1e-14 and 3.3e-11 here: at or
-# below the default tolerance, so the bound reads attained although r != s
+# below the default tolerance, so the bound holds, and the exact flag still
+# says it is not attained
 @pytest.mark.parametrize("core, length", [(6, 4), (6, 5), (9, 3)])
 def test_checks_pass_when_a_strict_gap_is_below_the_tolerance(tmp_path, core, length):
     h = helpers.core_with_tail(core, length)
     report = run_all_checks(h)
     assert report.passed
     sandwich = entry_map(report)["spectral-radius-sandwich"]
-    assert sandwich.details["equality"] and not sandwich.details["uniform"]
+    assert sandwich.details["uniform"] is False
+    assert "equality" not in sandwich.details
     path = tmp_path / "tail.hg"
     path.write_text(emit(h))
     assert main(["check", str(path)]) == 0
@@ -212,36 +213,6 @@ def test_checks_catch_a_corrupted_line(monkeypatch, build, h, failing):
     assert failing <= failed
 
 
-def bound_gaps(h):
-    """Gaps to the sandwich and degree-sum bounds, from a dense `B` built
-    entry by entry and numpy's `eigvalsh`."""
-    b = dense_incidence(h)
-    sizes = b.sum(axis=0)
-    r, s = int(sizes.max()), int(sizes.min())
-    rho_q = np.linalg.eigvalsh((b @ b.T).astype(float))[-1]
-    rho_line = np.linalg.eigvalsh((b.T @ b - np.diag(sizes)).astype(float))[-1]
-    sums = b.T @ b.sum(axis=1)
-    lower, upper = int(sums.min()) - (r - s), int(sums.max()) + (r - s)
-    return {
-        "spectral-radius-sandwich": (
-            abs(rho_line - (rho_q - r)),
-            abs(rho_line - (rho_q - s)),
-        ),
-        "degree-sum-bounds": (abs(rho_q - lower), abs(rho_q - upper)),
-    }
-
-
-# no instance here has a bound gap between 1e-9 and 1e-6, so only 0.1 would
-# tell the caller's tolerance apart from a fixed threshold in that range
-@pytest.mark.parametrize("tol", (1e-9, 1e-6, 0.1))
-def test_checks_attainment_follows_the_analysis_rule(corpus, equality_family, tol):
-    for h in corpus + equality_family:
-        entries = entry_map(run_all_checks(h, tol))
-        for name, (lower_gap, upper_gap) in bound_gaps(h).items():
-            tight = lower_gap <= tol or upper_gap <= tol
-            assert entries[name].details["equality"] == tight
-
-
 def verdicts(report) -> list:
     """Each entry's name, verdict and boolean details, and the context."""
     return [report.context] + [
@@ -295,3 +266,15 @@ def test_checks_pass_on_every_small_hypergraph(small_simple):
     ]
     on_five = [c for h, c in zip(small_simple, certified) if h.n == 5]
     assert (len(on_five), sum(on_five), sum(certified)) == (6893, 1197, 1207)
+    # on a connected input a bound is attained exactly when the paper's flag
+    # holds: the sandwich when uniform, the degree-sum window when uniform
+    # and edge-regular
+    connected = [entry_map(r) for r in reports if r.context["connected"]]
+    assert len(connected) == 6438
+    for entries in connected:
+        d = entries["spectral-radius-sandwich"].details
+        gap = min(abs(d["rho_line"] - (d["rho_q"] - k)) for k in (d["rank"], d["corank"]))
+        assert (gap <= 1e-9) == d["uniform"]
+        d = entries["degree-sum-bounds"].details
+        gap = min(abs(d["rho_q"] - d["lower"]), abs(d["rho_q"] - d["upper"]))
+        assert (gap <= 1e-9) == d["uniform_and_edge_regular"]

@@ -67,7 +67,7 @@ def test_check_json_on_demo_data_is_pinned(capsys):
             data = _rounded(json.loads(capsys.readouterr().out))
             digest.update(f"{path.name} --tol {tol} -> {code}\n{json.dumps(data)}\n".encode())
     assert digest.hexdigest() == (
-        "484ad6a75f55befd1aa2612fecd99ec7e1ba120d9413506e891bc6eb09f6ce62"
+        "4d982201b210c7daea175a47972457b9f16d86d7adc6f15a803b173265b74b46"
     )
 
 

@@ -1,4 +1,3 @@
-import itertools
 import pickle
 
 import networkx as nx
@@ -226,26 +225,6 @@ def test_connected_skips_empty_edges(edges, n, connected):
 def test_connected_matches_networkx_on_every_small_hypergraph(small_simple):
     for h in small_simple:
         assert is_connected(h) == nx.is_connected(helpers.incidence_graph(h))
-
-
-def test_connected_matches_oracle_exhaustive_n5():
-    # every simple edge list with up to 4 edges on 5 vertices
-    all_edges = [
-        frozenset(c)
-        for size in (2, 3, 4, 5)
-        for c in itertools.combinations(range(5), size)
-    ]
-    count = 0
-    for m in (1, 2, 3, 4):
-        for combo in itertools.combinations(all_edges, m):
-            if any(
-                a != b and a <= b for a in combo for b in combo
-            ):
-                continue
-            h = Hypergraph.from_edges([sorted(e) for e in combo], n=5)
-            assert is_connected(h) == connected_oracle(h)
-            count += 1
-    assert count > 2500
 
 
 @settings(deadline=None)

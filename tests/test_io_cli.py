@@ -488,6 +488,14 @@ def test_cli_collar_search_cap_on_kernel_support(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["edges"] == [0, 1, 18, 19]
 
 
+def test_cli_collar_search_refuses_a_negative_cap(tmp_path, capsys):
+    path = write(tmp_path, "collar3.hg", emit(helpers.collar3()[0]))
+    assert main(["collar", path, "--search", "--max-edges", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: max_edges must be non-negative, got -1\n"
+
+
 def _collar_calls(tmp_path, hosts):
     for k, h in enumerate(hosts):
         path = write(tmp_path, f"host{k}.hg", emit(h))

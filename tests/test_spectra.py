@@ -176,19 +176,17 @@ def test_collar_certificate_rejects_bad_witness():
 
 def test_sandwich_trio(trio):
     rep, lower_eq, upper_eq = sandwich(trio)
-    assert rep.passed and rep.details["uniform"]
+    assert rep.passed and rep.details["uniform"] is True
     assert rep.details["rho_q"] == pytest.approx(4 + SQRT3, abs=1e-9)
     assert rep.details["rho_line"] == pytest.approx(1 + SQRT3, abs=1e-9)
     assert lower_eq and upper_eq
-    assert rep.details["equality"] is True
 
 
 def test_sandwich_non_uniform_strict():
     h = Hypergraph.from_edges([[0, 1], [1, 2, 3]])
     rep, lower_eq, upper_eq = sandwich(h, tolerance=1e-6)
-    assert rep.passed and not rep.details["uniform"]
+    assert rep.passed and rep.details["uniform"] is False
     assert not lower_eq and not upper_eq
-    assert rep.details["equality"] is False
 
 
 def test_sandwich_single_edge():
@@ -202,9 +200,8 @@ def test_degree_sum_bounds_cycle():
     rep, lower_eq, upper_eq = degree_sums(helpers.cycle(4))
     assert (rep.details["lower"], rep.details["upper"]) == (4, 4)
     assert rep.details["rho_q"] == pytest.approx(4.0)
-    assert rep.details["uniform_and_edge_regular"]
     assert lower_eq and upper_eq
-    assert rep.details["equality"] is True
+    assert rep.details["uniform_and_edge_regular"] is True
 
 
 def test_degree_sum_bounds_trio(trio):

@@ -159,6 +159,14 @@ def test_find_collar_cap():
     assert find_collar_subhypergraph(helpers.cycle(4), max_edges=4) is not None
 
 
+def test_find_collar_refuses_a_negative_cap():
+    # refused before any search: a single edge has no even cover, which
+    # would otherwise answer None
+    for h in (helpers.cycle(4), helpers.single_edge(3)):
+        with pytest.raises(ValueError, match="max_edges must be non-negative, got -1"):
+            find_collar_subhypergraph(h, max_edges=-1)
+
+
 @settings(deadline=None, max_examples=60)
 @given(strategies.hypergraphs(max_n=7, max_m=6))
 def test_find_collar_matches_oracle(h):
