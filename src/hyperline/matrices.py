@@ -9,7 +9,13 @@ one entry from each column, so it stays within `int64`. Vectors, kernel
 vectors included, are plain `tuple[int, ...]`. Floating point appears
 only downstream, in the eigensolver.
 
-- `exact_kernel` first reduces the matrix exactly to its core, by two
+- `exact_kernel` first finds the rank mod 2 by one XOR elimination of
+  the columns' parity bitmasks (`_kernel_mod_2`, which the collar search
+  also reads its even covers from). An odd minor is non-zero over the
+  integers, so rank mod 2 never exceeds the rational rank: full column
+  rank mod 2 proves the kernel zero, and full rank mod 2 gives
+  `exact_rank` its answer, with no further elimination. Otherwise it
+  reduces the matrix exactly to its core, by two
   rules applied until neither applies. The peel: a row with one non-zero
   among the live columns forces that column to 0. The tie: a row
   `u x_lo + w x_hi = 0` with `|u| == |w|` gives `x_lo = -(u/w) x_hi`, so
@@ -27,7 +33,8 @@ only downstream, in the eigensolver.
   one exact elimination gives. When the check cannot pass (an unlucky
   prime, or an entry past that bound), `_kernel_fraction_free` computes
   the core's kernel on Python integers instead.
-  `exact_rank` is the column count less the kernel dimension.
+  `exact_rank` is otherwise the column count less the core's kernel
+  dimension.
 
 - `Q = B Bᵀ` is one float product of the 0/1 incidence matrix, exact
   because every entry is a count of at most m; an `int64` product would
@@ -80,6 +87,45 @@ def gram_identity_check(h: Hypergraph) -> bool:
         for i, j, mult in zip(rows.tolist(), cols.tolist(), mults)
     )
     return listed and sum(mults) == line_edge_count(h)
+
+
+def _odd_columns(a: np.ndarray) -> list[int]:
+    """One bitmask per column of the integer matrix `a`: bit i is set where
+    row i holds an odd entry."""
+    n_rows, n_cols = a.shape
+    odd = np.ascontiguousarray((a & 1).astype(bool).T)
+    packed = np.packbits(odd, axis=1, bitorder="little").tobytes()
+    width = -(-n_rows // 8)
+    return [
+        int.from_bytes(packed[j * width : (j + 1) * width], "little")
+        for j in range(n_cols)
+    ]
+
+
+def _kernel_mod_2(columns: Sequence[int]) -> list[int]:
+    """A basis of the kernel over GF(2) of the matrix whose column j has the
+    row bitmask `columns[j]`: each vector is a bitmask over the columns, the
+    set of columns whose sum is even in every row.
+
+    One XOR elimination: column j enters with its row bits shifted above
+    the column bits and bit j set, and is reduced by the pivots, which are
+    held by their top bit. It becomes a pivot when row bits remain, and a
+    basis vector, over the columns it has summed, when none do. The
+    basis size is the column count less the rank mod 2.
+    """
+    n_cols = len(columns)
+    top = 1 << n_cols  # the rows lie at and above bit n_cols, the columns below it
+    basis: list[int] = []
+    pivots: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        x = col << n_cols | 1 << j
+        while x >= top and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        if x >= top:
+            pivots[x.bit_length()] = x
+        else:
+            basis.append(x)
+    return basis
 
 
 def _kernel_fraction_free(a: np.ndarray) -> list[list[int]]:
@@ -292,12 +338,6 @@ def _core(a: np.ndarray) -> tuple[np.ndarray, list[int], list[tuple[int, int, in
     return core, live, ties
 
 
-def exact_rank(matrix: np.ndarray) -> int:
-    """Rank over the rationals: the column count less the kernel dimension."""
-    nullity = len(exact_kernel(matrix))  # first: it refuses a matrix that is not 2-D
-    return matrix.shape[1] - nullity
-
-
 def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
     # content 1, first non-zero entry positive
     g = gcd(*ints)
@@ -309,6 +349,46 @@ def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _core_kernel(
+    a: np.ndarray,
+) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
+    """The kernel basis of the core of `a`, with the core's columns and ties
+    from `_core`: from elimination modulo the prime, or from the
+    fraction-free fallback when its certificate fails."""
+    core, live, ties = _core(a)
+    try:
+        vectors = _kernel_mod_p(core)
+    except _Uncertified as reason:
+        # imported here: `logging` would add about 20% to `import hyperline.cli`
+        # (5-8 ms of 23-40 ms under `python -X importtime`)
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "exact kernel: %dx%d matrix, %dx%d core, fraction-free fallback: %s",
+            *a.shape, *core.shape, reason,
+        )
+        vectors = _kernel_fraction_free(core)
+    return vectors, live, ties
+
+
+def exact_rank(matrix: np.ndarray) -> int:
+    """Rank over the rationals.
+
+    An odd minor is non-zero over the integers, so rank mod 2 never
+    exceeds the rational rank, and a matrix of full rank mod 2 has full
+    rank. Otherwise the rank is the column count less the dimension of
+    the kernel of the core (`exact_kernel`'s elimination, which has the
+    same free columns), and the XOR elimination is not run again. A
+    matrix that `exact_kernel` refuses is refused here too.
+    """
+    exact = _exact_entries(matrix)
+    n_rows, n_cols = exact.shape
+    rank = n_cols - len(_kernel_mod_2(_odd_columns(exact)))
+    if rank == min(n_rows, n_cols):
+        return rank
+    return n_cols - len(_core_kernel(exact)[0])
+
+
 def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     """Integer basis of the null space.
 
@@ -317,7 +397,12 @@ def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     Basis vectors are normalized to content-1 integer vectors with positive
     leading entry, ordered by free column, so output is reproducible.
 
-    The matrix is first reduced exactly to its core: a row with one
+    One XOR elimination first finds the rank mod 2 (`_kernel_mod_2`). A
+    matrix of full column rank mod 2 has a zero kernel over the rationals
+    too, since an odd minor is non-zero over the integers, and is answered
+    `[]` with no further elimination.
+
+    Otherwise the matrix is reduced exactly to its core: a row with one
     non-zero among the live columns forces that column to 0, and a row
     with two of equal size ties the smaller column to the larger, which
     takes the smaller one's column times the tie's sign and stands for
@@ -333,19 +418,9 @@ def exact_kernel(matrix: np.ndarray) -> list[tuple[int, ...]]:
     core, and the reason.
     """
     exact = _exact_entries(matrix)
-    core, live, ties = _core(exact)
-    try:
-        vectors = _kernel_mod_p(core)
-    except _Uncertified as reason:
-        # imported here: `logging` would add about 20% to `import hyperline.cli`
-        # (5-8 ms of 23-40 ms under `python -X importtime`)
-        import logging
-
-        logging.getLogger(__name__).debug(
-            "exact kernel: %dx%d matrix, %dx%d core, fraction-free fallback: %s",
-            *exact.shape, *core.shape, reason,
-        )
-        vectors = _kernel_fraction_free(core)
+    if not _kernel_mod_2(_odd_columns(exact)):
+        return []
+    vectors, live, ties = _core_kernel(exact)
     if len(live) < exact.shape[1]:
         # 0 on a peeled column; a tied one follows the column it was tied to,
         # which was tied, if at all, only later

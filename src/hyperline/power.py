@@ -34,6 +34,11 @@ def power_hypergraph(
     for rank-uniform bases. With uniform_pad=True each edge is padded to
     exactly k vertices instead, which forces k-uniformity while leaving the
     line multigraph identical.
+
+    The edges are built sorted, distinct and in range (clone ids ascend
+    with the base vertex, and padding ids come after them), so the value
+    is made with `Hypergraph._make`, skipping the constructor's
+    normalisation.
     """
     q = padding(base, t, k)
     labels: list[str] = []
@@ -51,8 +56,8 @@ def power_hypergraph(
         for c in range(pad):
             members.append(len(labels))
             labels.append(f"_pow_{j}_{c}")
-        edges.append(members)
-    return Hypergraph(labels, edges)
+        edges.append(tuple(members))
+    return Hypergraph._make((tuple(labels), tuple(edges)))
 
 
 def power_line_invariance_check(base: Hypergraph, t: int, k: int) -> bool:

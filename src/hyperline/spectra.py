@@ -113,9 +113,12 @@ def certificate_minus_r(h: Hypergraph) -> tuple[int, ...] | None:
     the rank-sized edges alone. The returned integer vector, one entry per
     edge, is the first basis vector of `exact_kernel` on those columns,
     which certifies it exactly, with zeros written on the smaller edges.
+    With more such columns than the n rows, only the first n + 1 are
+    passed: the first free column is then at most n, and its basis vector
+    lies on the columns up to it, so the vector is the same.
     """
     r, _ = rank_corank(h)
-    big = [i for i, e in enumerate(h.edges) if len(e) == r]
+    big = [i for i, e in enumerate(h.edges) if len(e) == r][: h.n + 1]
     basis = exact_kernel(incidence_matrix(h)[:, big])
     if not basis:
         return None

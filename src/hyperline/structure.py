@@ -11,9 +11,11 @@ collar. It lies in the kernel of the incidence matrix `B`, and on a
 `k`-uniform host it is the exact certificate that `-k` is an eigenvalue of
 the line multigraph. Mod 2 it is an even cover, an edge set meeting every
 vertex an even number of times: the search runs over the support of a
-GF(2) basis of the even covers, held as bitmasks over the edges, and
-`max_edges` caps that support, not the edge count. Past the cap, a zero
-`ker B` over the rationals still proves that no collar exists.
+GF(2) basis of the even covers, held as bitmasks over the edges and found
+by the XOR elimination `matrices._kernel_mod_2`, which also gives the exact
+kernel its rank mod 2; `max_edges` caps that support, not the edge count.
+Past the cap, a zero `ker B` over the rationals still proves that no
+collar exists.
 The library logs through the stdlib `logging` logger
 `hyperline.structure`, a child of `hyperline`, with no handler attached.
 """
@@ -29,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import _numpy as np
 from .core import Hypergraph, incidence_matrix, is_uniform
 from .line import line_degree_formula
-from .matrices import exact_kernel, incidence_product
+from .matrices import _kernel_mod_2, exact_kernel, incidence_product
 
 
 class RegularityReport(NamedTuple):
@@ -148,12 +150,13 @@ def find_collar_subhypergraph(
     A subset qualifies when every vertex it covers lies in exactly two of
     its edges and its line graph is bipartite, so it is an even cover: a
     vector of `ker B` over GF(2). One XOR elimination of the edges' vertex
-    bitmasks gives a basis of the even covers as bitmasks over the edges;
-    none proves that no collar exists. Otherwise subsets of their support
-    are grown in ascending index order, and the signed indicator of the
-    lexicographically first collar is returned as the witness; that collar
-    is the first among all edge subsets, since every collar and each of
-    its prefixes lie in the support. A support larger than `max_edges` is
+    bitmasks, `matrices._kernel_mod_2`, gives a basis of the even covers
+    as bitmasks over the edges; none proves that no collar exists.
+    Otherwise subsets of their support are grown in ascending index
+    order, and the signed indicator of the lexicographically first collar
+    is returned as the witness; that collar is the first among all edge
+    subsets, since every collar and each of its prefixes lie in the
+    support. A support larger than `max_edges` is
     refused rather than searched, unless the exact `ker B` over the
     rationals, which holds every collar's signed indicator, is zero. A
     negative `max_edges` is refused with `ValueError`.
@@ -176,17 +179,8 @@ def find_collar_subhypergraph(
     """
     if max_edges < 0:
         raise ValueError(f"max_edges must be non-negative, got {max_edges}")
-    basis: list[int] = []  # the even covers, bit i for edge i
-    pivots: dict[int, int] = {}  # by their top bit
-    top = 1 << h.m  # the vertices lie at and above bit m, the edges below it
-    for i, e in enumerate(h.edges):
-        x = sum(top << v for v in e) | 1 << i
-        while x >= top and x.bit_length() in pivots:
-            x ^= pivots[x.bit_length()]
-        if x >= top:
-            pivots[x.bit_length()] = x
-        else:
-            basis.append(x)
+    # the even covers, bit i for edge i
+    basis = _kernel_mod_2([sum(1 << v for v in e) for e in h.edges])
     live = reduce(or_, basis, 0)  # the edges the restricted basis holds
     dim, support = len(basis), [i for i in range(h.m) if live >> i & 1]
 

@@ -180,6 +180,14 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
     return Hypergraph.from_edges(itertools.combinations(range(n), k), n=n)
 
 
+def fano_plane() -> Hypergraph:
+    """The seven lines of the Fano plane: its incidence matrix has
+    determinant -24 and rank 4 mod 2."""
+    return Hypergraph.from_edges(
+        [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    )
+
+
 def core_with_tail(core: int, length: int) -> Hypergraph:
     """Every triple of `core` vertices, with a path of `length` fresh
     triples hung off vertex 0, each meeting the one before it in one

@@ -8,8 +8,8 @@ rescanning to a fixpoint, collars by full subset enumeration (and by the
 search over all edges that the kernel-pruned search replaced), the
 incidence matrix entry by entry from the edge lists, characteristic
 polynomials by sympy, eigenvalues by isolating the real roots of that
-polynomial symbolically, and rank and kernel by a reduced row echelon form
-over `Fraction`s.
+polynomial symbolically, rank and kernel by a reduced row echelon form
+over `Fraction`s, and rank mod 2 by row reduction of lists of 0s and 1s.
 """
 
 from __future__ import annotations
@@ -292,6 +292,24 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 def rank_oracle(rows: list[list[int]]) -> int:
     """Rank of an integer matrix given as rows, over the rationals."""
     return len(_rref([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def rank_mod_2_oracle(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix given as rows, over GF(2): row reduction of
+    the rows' parities as lists of 0s and 1s."""
+    rows = [[x % 2 for x in row] for row in rows]
+    n_cols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _normalize(vec: list[Fraction]) -> list[int]:

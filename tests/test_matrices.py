@@ -25,7 +25,7 @@ from hyperline import (
 
 import helpers
 import strategies
-from oracles import dense_incidence, kernel_oracle, rank_oracle
+from oracles import dense_incidence, kernel_oracle, rank_mod_2_oracle, rank_oracle
 
 
 def test_incidence_trio(trio):
@@ -351,6 +351,86 @@ def test_exact_kernel_matches_fraction_rref_without_rows():
     assert got == kernel_oracle([], 2) == [[1, 0], [0, 1]]
 
 
+def rank_mod_2(mat: np.ndarray) -> int:
+    """The column count less the size of `_kernel_mod_2`'s basis, after
+    checking that each basis vector is a distinct sum of columns that is even
+    in every row."""
+    columns = matrices._odd_columns(mat.astype(np.int64))
+    basis = matrices._kernel_mod_2(columns)
+    for vec in basis:
+        assert 0 < vec < 1 << len(columns)
+        summed = 0
+        for j, col in enumerate(columns):
+            if vec >> j & 1:
+                summed ^= col
+        assert summed == 0
+    # column j enters with bit j, and earlier pivots reduce it only below j
+    assert len({vec.bit_length() for vec in basis}) == len(basis)
+    return len(columns) - len(basis)
+
+
+def test_rank_mod_2_matches_the_oracle_on_every_small_hypergraph(small_simple):
+    assert len(small_simple) == 7015
+    deficient = 0
+    for h in small_simple:
+        b = incidence_matrix(h)
+        rows = b.tolist()
+        rank = rank_mod_2(b)
+        assert rank == rank_mod_2_oracle(rows)
+        assert exact_rank(b) == rank_oracle(rows) >= rank
+        assert [list(v) for v in exact_kernel(b)] == kernel_oracle(rows, h.m)
+        deficient += rank < min(h.n, h.m)
+    # both the certified and the elimination route are taken
+    assert 0 < deficient < len(small_simple)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_int_matrices())
+@example([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # odd cycle: det 2, rank 2 mod 2
+@example([[2, 0], [0, 1]])  # an even column: full rank, not mod 2
+def test_rank_mod_2_of_sparse_matrices_matches_the_oracle(data):
+    cols = len(data[0]) if data else 3
+    mat = as_matrix(data, cols)
+    assert rank_mod_2(mat) == rank_mod_2_oracle(data)
+    assert exact_rank(mat) == rank_oracle(data)
+    assert [list(v) for v in exact_kernel(mat)] == kernel_oracle(data, cols)
+
+
+def test_full_rank_mod_2_decides_without_elimination(monkeypatch):
+    def refuse(a):
+        raise RuntimeError("elimination mod p ran")
+
+    monkeypatch.setattr(matrices, "_gauss_jordan_mod_p", refuse)
+    # determinant -3: full rank mod 2, so rank 4 and no kernel
+    b = incidence_matrix(helpers.complete_uniform(4, 3))
+    assert rank_mod_2_oracle(b.tolist()) == 4
+    assert exact_rank(b) == 4 and exact_kernel(b) == []
+    # wide: full row rank mod 2 gives the rank, yet the kernel needs the elimination
+    wide = np.array([[1, 0, 3], [0, 1, 1]])
+    assert exact_rank(wide) == 2
+    with pytest.raises(RuntimeError, match="elimination mod p ran"):
+        exact_kernel(wide)
+
+
+def test_full_rank_deficient_mod_2_goes_through_the_elimination(monkeypatch):
+    calls = []
+    eliminate = matrices._gauss_jordan_mod_p
+
+    def counted(a):
+        calls.append(a.shape)
+        return eliminate(a)
+
+    monkeypatch.setattr(matrices, "_gauss_jordan_mod_p", counted)
+    # determinant 4: the all-ones vector is an even cover, so rank 5 needs the
+    # elimination mod p
+    b = incidence_matrix(helpers.circulant(5, 4))
+    assert round(np.linalg.det(b)) == 4
+    assert rank_mod_2_oracle(b.tolist()) < 5
+    assert exact_rank(b) == rank_oracle(b.tolist()) == 5
+    assert exact_kernel(b) == []
+    assert calls == [(5, 5)] * 2
+
+
 def fallback_reasons(caplog) -> list[str]:
     return [
         r.getMessage().rsplit(": ", 1)[1]
@@ -363,16 +443,18 @@ def test_kernel_falls_back_to_fraction_free_when_the_prime_drops_the_rank(
     monkeypatch, caplog
 ):
     monkeypatch.setattr(matrices, "_PRIME", 3)
-    # every row has three non-zeros, so the whole matrix is its own core; its
-    # determinant is -3, so mod 3 its rank is 3, and the kernel vector read
-    # back fails B x = 0 over the integers
-    b = incidence_matrix(helpers.complete_uniform(4, 3))
-    assert len(matrices._gauss_jordan_mod_p(b % 3)[0]) == 3
+    # the Fano plane: every row has three non-zeros, so the whole matrix is
+    # its own core; its rank mod 2 is 4, so neither call is decided mod 2;
+    # its determinant is -24, so mod 3 its rank is 6, and the kernel vector
+    # read back fails B x = 0 over the integers
+    b = incidence_matrix(helpers.fano_plane())
+    assert rank_mod_2_oracle(b.tolist()) == 4
+    assert len(matrices._gauss_jordan_mod_p(b % 3)[0]) == 6
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
         assert exact_kernel(b) == []
-        assert exact_rank(b) == 4
+        assert exact_rank(b) == 7
     assert fallback_reasons(caplog) == ["rank dropped mod p"] * 2
-    assert "4x4 matrix, 4x4 core" in caplog.records[0].getMessage()
+    assert "7x7 matrix, 7x7 core" in caplog.records[0].getMessage()
 
 
 @pytest.mark.parametrize(
@@ -393,7 +475,10 @@ def test_wide_entries_fall_back_to_fraction_free(caplog, data, dtype, reason):
         rank = exact_rank(mat)
     assert got == kernel_oracle(data, len(data[0]))
     assert rank == rank_oracle(data)
-    assert fallback_reasons(caplog) == [reason] * 2
+    # each row has an odd entry, so its rank 1 is full mod 2: only the
+    # kernel reaches the fallback
+    assert rank_mod_2_oracle(data) == 1
+    assert fallback_reasons(caplog) == [reason]
 
 
 def test_certified_route_runs_no_fraction_free_step(monkeypatch, caplog):
@@ -449,6 +534,14 @@ def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h,
     expected = kernel_oracle(b.tolist(), h.m)
     restricted = kernel_oracle(b.tolist(), h.m, small)
     certificate = tuple(restricted[0]) if restricted else None
+    # a call decided by full rank mod 2 reaches no elimination, so no fallback
+    big = [i for i in range(h.m) if i not in small]
+    rank_2 = rank_mod_2_oracle(b.tolist())
+    records = (
+        2 * (rank_2 < h.m)  # the two exact_kernel calls
+        + (rank_2 < min(h.n, h.m))  # exact_rank
+        + (rank_mod_2_oracle(b[:, big].tolist()) < len(big))  # certificate_minus_r
+    )
     # the certified route first, then the fraction-free fallback
     for forced in (False, True):
         if forced:
@@ -459,7 +552,7 @@ def test_kernel_matches_fraction_rref_at_benchmark_scale(monkeypatch, caplog, h,
             got = [list(v) for v in exact_kernel(b)]
             assert certificate_minus_r(h) == certificate
         assert got == expected
-        assert fallback_reasons(caplog) == ["forced"] * (4 if forced else 0)
+        assert fallback_reasons(caplog) == ["forced"] * (records if forced else 0)
         caplog.clear()
 
 
@@ -468,12 +561,12 @@ def test_fallback_record_gives_the_core_shape(monkeypatch, caplog):
         raise matrices._Uncertified("forced")
 
     monkeypatch.setattr(matrices, "_kernel_mod_p", uncertified)
-    # every column of this draw is peeled or tied: its core is empty
-    b = incidence_matrix(generate_hypergraph(60, 40, 5, 0))
+    # the even 4-cycle is deficient mod 2; three ties leave one column and no row
+    b = incidence_matrix(helpers.cycle(4))
     with caplog.at_level(logging.DEBUG, logger="hyperline.matrices"):
-        assert exact_kernel(b) == []
+        assert exact_kernel(b) == [(1, -1, 1, -1)]
     assert [r.getMessage() for r in caplog.records] == [
-        "exact kernel: 60x40 matrix, 0x0 core, fraction-free fallback: forced"
+        "exact kernel: 4x4 matrix, 0x1 core, fraction-free fallback: forced"
     ]
 
 

@@ -149,3 +149,19 @@ def test_power_degrees(h):
     for label, d in pdegs.items():
         if label.startswith("_pow_"):
             assert d == 1
+
+
+def test_power_equals_the_normalised_construction_on_every_small_hypergraph(
+    small_simple,
+):
+    # built with `Hypergraph._make`: its edges must already be what the
+    # constructor would make of them
+    for h in small_simple:
+        r, _ = rank_corank(h)
+        for t in (1, 2):
+            for k in (r * t, r * t + 1):
+                for uniform_pad in (False, True):
+                    p = power_hypergraph(h, t, k, uniform_pad)
+                    assert p == Hypergraph(p.labels, p.edges)
+                    assert type(p.labels) is tuple and type(p.edges) is tuple
+                    assert all(type(e) is tuple for e in p.edges)

@@ -10,6 +10,8 @@ from hyperline import (
     certificate_minus_r,
     check_collar_witness,
     eigenvalues_symmetric,
+    exact_kernel,
+    incidence_matrix,
     is_collar,
     is_uniform,
     power_hypergraph,
@@ -288,3 +290,21 @@ def test_eigenvalues_match_char_poly_roots(rows):
     spec = eigenvalues_symmetric(np.array(rows))
     roots = charpoly_real_roots(charpoly_coefficients(rows))
     assert_close_multisets(spec.eigenvalues, roots, tol=1e-8)
+
+
+def test_certificate_reads_the_first_kernel_vector_of_the_rank_sized_edges(
+    small_simple,
+):
+    # certificate_minus_r passes at most n + 1 of those columns
+    wide = 0
+    for h in small_simple + [helpers.complete_uniform(9, 3)]:
+        r, _ = rank_corank(h)
+        big = [i for i, e in enumerate(h.edges) if len(e) == r]
+        basis = exact_kernel(incidence_matrix(h)[:, big])
+        expected = None
+        if basis:
+            entries = dict(zip(big, basis[0]))
+            expected = tuple(entries.get(i, 0) for i in range(h.m))
+        assert certificate_minus_r(h) == expected
+        wide += len(big) > h.n + 1
+    assert wide > 1
