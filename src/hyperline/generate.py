@@ -12,8 +12,9 @@ holds all of the new edge or all of its own vertices. A draw whose edge finds
 no simple placement in `EDGE_TRIES` redraws costs one attempt. A finished
 draw is simple by construction (sizes at least 2, distinct vertices, no
 edge equal to or nested in another), so it is returned without a call to
-`core.validate`. After `MAX_ATTEMPTS` draws it gives up with `ValueError`.
-Deterministic for a fixed seed.
+`core.validate`, and built with `Hypergraph._make` once each edge is sorted.
+After `MAX_ATTEMPTS` draws it gives up with `ValueError`. Deterministic
+for a fixed seed.
 
 Sizes that admit no connected simple hypergraph are refused before any
 draw: fewer edges than can cover n vertices, or more than an antichain of
@@ -122,11 +123,11 @@ def generate_hypergraph(n: int, m: int, max_card: int, seed: int) -> Hypergraph:
             f"m <= max C(n, k) = {widest}"
         )
     rng = random.Random(seed)
-    labels = [str(i + 1) for i in range(n)]
+    labels = tuple(str(i + 1) for i in range(n))
     for _ in range(MAX_ATTEMPTS):
         edges = _connected_edges(rng, n, _sizes(rng, n, m, top))
         if edges is not None:
-            return Hypergraph(labels, edges)
+            return Hypergraph._make((labels, tuple(tuple(sorted(e)) for e in edges)))
     raise ValueError(
         f"could not generate a simple connected hypergraph with "
         f"n={n}, m={m}, max_card={max_card} after {MAX_ATTEMPTS} attempts"

@@ -32,27 +32,25 @@ def reduce_core(h: Hypergraph) -> Hypergraph:
     """Strip degree-one vertices out of edges of size >= 3 until none remain.
 
     Vertices are scanned in ascending index order, so the result is
-    deterministic. The line multigraph is unchanged. Note the literal rule
-    can leave two edges equal as sets (e.g. two triples sharing two
-    vertices, each with a private third vertex); the edge list keeps both
-    entries, so intersections and the line multigraph are still intact,
-    while validate() will report the pair.
+    deterministic; the survivors keep their order, so each edge stays sorted
+    and the value is built with `Hypergraph._make`. The line multigraph is
+    unchanged. The literal rule can leave two edges equal as sets (e.g. two
+    triples sharing two vertices, each with a private third vertex); the
+    edge list keeps both entries, so intersections and the line multigraph
+    are still intact, while validate() will report the pair.
     """
-    edges = [set(e) for e in h.edges]
+    sizes = [len(e) for e in h.edges]
     alive = [True] * h.n
     # stripping v changes no other degree and only shrinks edges, so a vertex
     # skipped here never becomes strippable: one pass reaches the fixpoint
     for v, incident in enumerate(h.incidence):
-        if len(incident) == 1 and len(edges[incident[0]]) >= 3:
-            edges[incident[0]].discard(v)
+        if len(incident) == 1 and sizes[incident[0]] >= 3:
+            sizes[incident[0]] -= 1
             alive[v] = False
-    remap = {}
-    labels = []
-    for v in range(h.n):
-        if alive[v]:
-            remap[v] = len(labels)
-            labels.append(h.labels[v])
-    return Hypergraph(labels, [sorted(remap[v] for v in e) for e in edges])
+    kept = [v for v in range(h.n) if alive[v]]
+    remap = {v: i for i, v in enumerate(kept)}
+    edges = tuple(tuple(remap[v] for v in e if alive[v]) for e in h.edges)
+    return Hypergraph._make((tuple(h.labels[v] for v in kept), edges))
 
 
 def uniformize(h: Hypergraph) -> Hypergraph:
@@ -61,22 +59,22 @@ def uniformize(h: Hypergraph) -> Hypergraph:
     Padding labels are "_pad_<edge index>_<counter>", each with the next
     counter whose label is not in use yet, so they cannot collide with user
     labels; the line multigraph is unchanged and the result is rank-uniform.
+    Pad indices rise past the original's, so edges stay sorted for `_make`.
     """
     r, _ = rank_corank(h)
     labels = list(h.labels)
     used = set(labels)
     edges = []
     for i, e in enumerate(h.edges):
-        e = list(e)
         c = 0
         for _ in range(r - len(e)):
             while f"_pad_{i}_{c}" in used:
                 c += 1
-            e.append(len(labels))
+            e += (len(labels),)
             labels.append(f"_pad_{i}_{c}")
             used.add(labels[-1])
         edges.append(e)
-    return Hypergraph(labels, edges)
+    return Hypergraph._make((tuple(labels), tuple(edges)))
 
 
 def from_multigraph(a: np.ndarray) -> Hypergraph:
@@ -87,6 +85,8 @@ def from_multigraph(a: np.ndarray) -> Hypergraph:
     `ValueError`. Hypergraph vertices are the edge instances of `a`; the
     hyperedge for vertex u collects the instances incident to u, so two
     hyperedges meet in exactly the parallel edges joining their endpoints.
+    Instances are numbered as they are collected, so each hyperedge is
+    sorted as built, and the value is made with `Hypergraph._make`.
     Vertices of degree < 2 are rejected: degree 0 leaves an uncoverable
     hyperedge slot and degree 1 yields a cardinality-one hyperedge.
 
@@ -120,8 +120,7 @@ def from_multigraph(a: np.ndarray) -> Hypergraph:
     rows, cols = np.nonzero(np.triu(a))
     for i, j, mult in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
         for c in range(mult):
-            idx = len(labels)
+            incident[i].append(len(labels))
+            incident[j].append(len(labels))
             labels.append(f"{i}-{j}:{c}")
-            incident[i].append(idx)
-            incident[j].append(idx)
-    return Hypergraph(labels, [sorted(e) for e in incident])
+    return Hypergraph._make((tuple(labels), tuple(map(tuple, incident))))

@@ -56,7 +56,7 @@ from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import _numpy as np
-from .core import Hypergraph, incidence_matrix
+from .core import Hypergraph, _debug, incidence_matrix
 from .line import line_edge_count
 
 # a prime below 2**31: a product of two residues, (p - 1)**2, fits in int64
@@ -339,14 +339,13 @@ def _core(a: np.ndarray) -> tuple[np.ndarray, list[int], list[tuple[int, int, in
 
 
 def _normalize_integer(ints: list[int]) -> tuple[int, ...]:
-    # content 1, first non-zero entry positive
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
+    # first non-zero entry positive. The content is 1 already: a mod-p vector
+    # is 1 at its free column; one reconstructed with scale L is L there, and
+    # each prime q | L leaves undivided the numerator whose denominator q
+    # divides to L's full power; a fraction-free one is divided by its
+    # content; and the read-back only writes zeros and copies entries.
     lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return tuple(-x for x in ints) if lead < 0 else tuple(ints)
 
 
 def _core_kernel(
@@ -359,14 +358,8 @@ def _core_kernel(
     try:
         vectors = _kernel_mod_p(core)
     except _Uncertified as reason:
-        # imported here: `logging` would add about 20% to `import hyperline.cli`
-        # (5-8 ms of 23-40 ms under `python -X importtime`)
-        import logging
-
-        logging.getLogger(__name__).debug(
-            "exact kernel: %dx%d matrix, %dx%d core, fraction-free fallback: %s",
-            *a.shape, *core.shape, reason,
-        )
+        fmt = "exact kernel: %dx%d matrix, %dx%d core, fraction-free fallback: %s"
+        _debug(__name__, fmt, *a.shape, *core.shape, reason)
         vectors = _kernel_fraction_free(core)
     return vectors, live, ties
 

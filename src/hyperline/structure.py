@@ -29,9 +29,9 @@ from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _numpy as np
-from .core import Hypergraph, incidence_matrix, is_uniform
+from .core import Hypergraph, _debug, incidence_matrix, is_uniform
 from .line import line_degree_formula
-from .matrices import _kernel_mod_2, exact_kernel, incidence_product
+from .matrices import _core_kernel, _kernel_mod_2, incidence_product
 
 
 class RegularityReport(NamedTuple):
@@ -156,10 +156,11 @@ def find_collar_subhypergraph(
     order, and the signed indicator of the lexicographically first collar
     is returned as the witness; that collar is the first among all edge
     subsets, since every collar and each of its prefixes lie in the
-    support. A support larger than `max_edges` is
-    refused rather than searched, unless the exact `ker B` over the
-    rationals, which holds every collar's signed indicator, is zero. A
-    negative `max_edges` is refused with `ValueError`.
+    support. A support larger than `max_edges` is refused rather than
+    searched, unless `ker B` over the rationals, which holds every collar's
+    signed indicator, is zero, as the exact core kernel
+    `matrices._core_kernel` decides with no basis read back. A negative
+    `max_edges` is refused with `ValueError`.
 
     A branch is cut as soon as a vertex would exceed two incidences. The
     even covers cut the rest: a collar below a branch leaves out every edge
@@ -185,20 +186,14 @@ def find_collar_subhypergraph(
     dim, support = len(basis), [i for i in range(h.m) if live >> i & 1]
 
     def log(outcome: str) -> None:
-        # imported here: `logging` would add about 20% to `import hyperline.cli`
-        # (5-8 ms of 23-40 ms under `python -X importtime`)
-        import logging
-
-        logging.getLogger(__name__).debug(
-            "collar search: m=%d even_cover_dim=%d support=%d: %s",
-            h.m, dim, len(support), outcome,
-        )
+        fmt = "collar search: m=%d even_cover_dim=%d support=%d: %s"
+        _debug(__name__, fmt, h.m, dim, len(support), outcome)
 
     if not basis:
         log("no even cover")
         return None
     if len(support) > max_edges:
-        if not exact_kernel(incidence_matrix(h)):
+        if not _core_kernel(incidence_matrix(h))[0]:
             log("full column rank")
             return None
         log("support exceeds cap")

@@ -99,6 +99,17 @@ def support(x) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(x) if s)
 
 
+def is_normalised(h: Hypergraph) -> bool:
+    """Whether `h`, built with `Hypergraph._make`, is what the public
+    constructor makes of its labels and edges, as tuples throughout."""
+    return (
+        h == Hypergraph(h.labels, h.edges)
+        and type(h.labels) is tuple
+        and type(h.edges) is tuple
+        and all(type(e) is tuple for e in h.edges)
+    )
+
+
 def small_simple_hypergraphs(max_n: int = 5) -> list[Hypergraph]:
     """Every simple hypergraph with at least one edge on 2..max_n labelled
     vertices, isolated vertices allowed: one per non-empty antichain of

@@ -15,7 +15,7 @@ from hyperline import (
 )
 from hyperline import core, generate
 
-from helpers import BENCHMARK_SIZES, adjacency, incidence_graph
+from helpers import BENCHMARK_SIZES, adjacency, incidence_graph, is_normalised
 from oracles import connected_edges_by_nesting, line_oracle
 
 
@@ -212,6 +212,13 @@ def test_draws_are_simple_by_construction_without_validate(monkeypatch):
     outputs = [generate_hypergraph(n, m, 4, s) for n, m, s in BENCHMARK_SIZES]
     monkeypatch.undo()
     assert all(not validate(h) and is_connected(h) for h in outputs)
+
+
+def test_draws_equal_the_normalised_construction(corpus):
+    # built with `Hypergraph._make`: each drawn edge must already be what the
+    # constructor would make of it
+    drawn = [generate_hypergraph(n, m, 4, s) for n, m, s in BENCHMARK_SIZES]
+    assert all(is_normalised(h) for h in corpus + drawn)
 
 
 def _digest(hypergraphs) -> str:

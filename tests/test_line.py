@@ -253,6 +253,47 @@ def test_uniformize_and_reduce_core_keep_the_line_on_every_small_hypergraph(
         assert np.array_equal(reduce_core(h).line, h.line)
 
 
+# `reduce_core`, `uniformize` and `from_multigraph` build with
+# `Hypergraph._make`: their edges must already be what the constructor
+# would make of them
+def test_reduce_core_equals_the_normalised_construction_on_every_small_hypergraph(
+    small_simple,
+):
+    assert all(helpers.is_normalised(reduce_core(h)) for h in small_simple)
+
+
+def test_uniformize_equals_the_normalised_construction_on_every_small_hypergraph(
+    small_simple,
+):
+    assert all(helpers.is_normalised(uniformize(h)) for h in small_simple)
+
+
+def test_from_multigraph_equals_the_normalised_construction_on_every_small_line(
+    small_simple,
+):
+    # the lines `from_multigraph` accepts: every line vertex of degree >= 2
+    lines = [h.line for h in small_simple if h.line.sum(axis=1).min() >= 2]
+    assert len(lines) == 6261
+    assert all(helpers.is_normalised(from_multigraph(a)) for a in lines)
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        ([[], [0, 1, 2], [0, 1, 3], [1]], 5),  # empty, equal once reduced, singleton
+        ([[0, 1, 2], [0, 1, 2], [2, 3]], 4),  # duplicates
+        ([[0, 1], [0, 1, 2, 3], [4, 5, 6]], 8),  # nested, isolated vertex
+    ],
+)
+def test_reduce_core_and_uniformize_equal_the_normalised_construction_off_simple(
+    edges, n
+):
+    h = Hypergraph.from_edges(edges, n)
+    assert helpers.is_normalised(reduce_core(h))
+    assert helpers.is_normalised(uniformize(h))
+    assert helpers.is_normalised(reduce_core(uniformize(h)))
+
+
 def test_regular_uniform_line_degree_formula():
     # d-regular, k-uniform: every line degree is k(d-1)
     for h, k, d in [

@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from hyperline import (
     multigraph_is_connected,
     regularity_report,
 )
+from hyperline import matrices, structure
 
 import helpers
 import strategies
@@ -279,6 +281,30 @@ def test_find_collar_logs_why(caplog):
     ]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     assert all(r.name.startswith("hyperline") for r in caplog.records)
+
+
+def test_the_referee_past_the_cap_runs_one_xor_elimination(monkeypatch):
+    # the search's own elimination found the even covers; the referee goes
+    # to the core kernel and neither packs parities nor eliminates again
+    calls = Counter()
+
+    def counted(real):
+        def call(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        return call
+
+    kernel_mod_2 = counted(matrices._kernel_mod_2)
+    monkeypatch.setattr(matrices, "_kernel_mod_2", kernel_mod_2)
+    monkeypatch.setattr(structure, "_kernel_mod_2", kernel_mod_2)
+    monkeypatch.setattr(matrices, "_odd_columns", counted(matrices._odd_columns))
+    assert find_collar_subhypergraph(helpers.cycle(3), max_edges=2) is None
+    assert calls == Counter(_kernel_mod_2=1)
+    calls.clear()
+    with pytest.raises(ValueError, match="exceeds search cap"):
+        find_collar_subhypergraph(helpers.complete_uniform(6, 3), max_edges=10)
+    assert calls == Counter(_kernel_mod_2=1)
 
 
 def test_library_logger_has_no_handler():
