@@ -16,6 +16,13 @@ edge equal to or nested in another), so it is returned without a call to
 After `MAX_ATTEMPTS` draws it gives up with `ValueError`. Deterministic
 for a fixed seed.
 
+Every random number comes from `Random.getrandbits`, through `_below` (the
+rejection loop of `Random._randbelow_with_getrandbits`) and `_sample` (both
+branches of `Random.sample`). They make the draws that `randint` and `sample`
+would make, call for call, and leave the same state, without those methods'
+Python-level argument handling; so a seed's output depends only on the
+Mersenne Twister and this module.
+
 Sizes that admit no connected simple hypergraph are refused before any
 draw: fewer edges than can cover n vertices, or more than an antichain of
 sets of size 2..min(max_card, n) can hold, which by the LYM inequality is
@@ -26,7 +33,8 @@ are unimodal in k, so that is the one C(n, k) with k nearest n // 2.
 from __future__ import annotations
 
 import random
-from math import comb
+from collections.abc import Sequence
+from math import ceil, comb, log
 
 from .core import Hypergraph
 
@@ -37,6 +45,58 @@ EDGE_TRIES = 10
 MAX_ATTEMPTS = 5000
 
 
+def _below(rng: random.Random, w: int) -> int:
+    """A uniform int in 0..w-1, as `rng.randrange(w)` draws it: k = w's bit
+    length random bits, redrawn while they reach w. `ValueError` for w < 1,
+    where the loop would never end (`getrandbits(0)` is 0)."""
+    if w < 1:
+        raise ValueError(f"empty range of width {w}")
+    getrandbits = rng.getrandbits
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(rng: random.Random, population: Sequence[int], k: int) -> list[int]:
+    """`rng.sample(population, k)`: a pool of the population with each pick
+    swapped out while it is no longer than a k-set would be, else picks
+    redrawn until new against a set of the indices picked. Each pick is
+    `_below`'s loop written out, since a call per pick costs about as much
+    as the pick; `ValueError` for k outside 0..n, where the pool's loop
+    would reach width 0 and spin."""
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    # the stdlib's table-size estimate, float expression and all
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for i in range(n, n - k, -1):
+            b = i.bit_length()
+            j = getrandbits(b)
+            while j >= i:
+                j = getrandbits(b)
+            result.append(pool[j])
+            pool[j] = pool[i - 1]
+        return result
+    selected: set[int] = set()
+    b = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(b)
+        # `_below(n)` redrawn while already picked: one loop, the same draws
+        while j >= n or j in selected:
+            j = getrandbits(b)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
 def _sizes(rng: random.Random, n: int, m: int, top: int) -> list[int]:
     """m sizes in 2..top whose edges can cover n vertices: each is drawn large
     enough that the later ones, at `top`, still can."""
@@ -45,7 +105,8 @@ def _sizes(rng: random.Random, n: int, m: int, top: int) -> list[int]:
     need = n - 1 - (m - 1) * (top - 1)
     sizes = []
     for _ in range(m):
-        s = rng.randint(max(2, need + 1), top)
+        lo = max(2, need + 1)
+        s = lo + _below(rng, top - lo + 1)
         need += top - s
         sizes.append(s)
     return sizes
@@ -71,7 +132,7 @@ def _connected_edges(
     meeting the covered ones and none equal to or nested in an earlier one;
     None when an edge exhausts its redraws."""
     room = sum(s - 1 for s in sizes)  # vertices the edges can still add
-    uncovered = rng.sample(range(n), n)
+    uncovered = _sample(rng, range(n), n)
     covered: list[int] = []
     through: list[list[int]] = [[] for _ in range(n)]
     edges: list[list[int]] = []
@@ -82,8 +143,8 @@ def _connected_edges(
         lo = max(len(uncovered) - room, s - len(covered), 0)
         hi = min(s - 1 if covered else s, len(uncovered))
         for _ in range(EDGE_TRIES):
-            fresh = rng.randint(lo, hi)
-            old = rng.sample(covered, s - fresh)
+            fresh = lo + _below(rng, hi - lo + 1)
+            old = _sample(rng, covered, s - fresh)
             if not _nests(old, s, through, edges):
                 break
         else:

@@ -2,7 +2,8 @@
 
 Nothing here calls the code paths under test: connectivity is decided by
 relation closure, line multiplicities, linearity and nested edges by
-testing every pair of edges, the generator's edge sampler by testing each
+testing every pair of edges, the generator's size and edge samplers by
+`random.Random`'s own `randint` and `sample`, its clash test by testing each
 candidate edge against every placed one as frozensets, `reduce_core` by
 rescanning to a fixpoint, collars by full subset enumeration (and by the
 search over all edges that the kernel-pruned search replaced), the
@@ -79,6 +80,17 @@ def nested_pairs_oracle(h: Hypergraph) -> list[tuple[int, int]]:
         for j, ej in enumerate(h.edges)
         if i != j and ei != ej and sets[i] <= sets[j]
     ]
+
+
+def sizes_by_randint(rng: random.Random, n: int, m: int, top: int) -> list[int]:
+    """`generate._sizes` by `rng.randint`: size i is at least what lets it and
+    the later sizes, all at `top`, cover the vertices the earlier ones leave,
+    each edge after the first adding at most its size less one."""
+    sizes: list[int] = []
+    for i in range(m):
+        left = n - sum(s - 1 for s in sizes) - (m - 1 - i) * (top - 1)
+        sizes.append(rng.randint(max(2, left), top))
+    return sizes
 
 
 def connected_edges_by_nesting(

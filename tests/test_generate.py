@@ -16,7 +16,7 @@ from hyperline import (
 from hyperline import core, generate
 
 from helpers import BENCHMARK_SIZES, adjacency, incidence_graph, is_normalised
-from oracles import connected_edges_by_nesting, line_oracle
+from oracles import connected_edges_by_nesting, line_oracle, sizes_by_randint
 
 
 def test_deterministic_per_seed():
@@ -122,29 +122,87 @@ def test_sizes_the_rejection_sampler_missed(n, m, max_card, seed):
     assert all(2 <= len(e) <= max_card for e in h.edges)
 
 
-def test_edge_sampler_matches_the_nesting_rule_draw_for_draw():
-    # dense sizes, up to the antichain bound, so that edges are redrawn and
-    # whole draws abandoned; each state is followed over several draws
-    outcomes = set()
+# (n, max_card, m) past the dense grid: `covered` outgrows 21, where
+# `sample` keeps a set of its picks, and with max_card >= 7 an edge can take
+# k > 5 covered vertices, which widens the pool branch to 85
+SPARSE_SIZES = ((26, 7, 12), (30, 8, 14), (40, 7, 20), (60, 8, 30))
+
+
+def _nesting_grid():
+    """(n, m, top): dense sizes, up to the antichain bound, so that edges are
+    redrawn and whole draws abandoned, then `SPARSE_SIZES`."""
     for n in range(4, 11):
         for max_card in (2, 3, 4, 5):
             top = min(max_card, n)
             widest = math.comb(n, max(2, min(top, n // 2)))
-            for m in {widest, widest - 1, 3 * widest // 4, widest // 2}:
-                if m > 40 or m * (top - 1) < n - 1:
-                    continue
-                for seed in range(3):
-                    fast, slow = random.Random(seed), random.Random(seed)
-                    for _ in range(4):
-                        drawn = generate._connected_edges(
-                            fast, n, generate._sizes(fast, n, m, top)
-                        )
-                        assert drawn == connected_edges_by_nesting(
-                            slow, n, generate._sizes(slow, n, m, top), generate.EDGE_TRIES
-                        )
-                        assert fast.getstate() == slow.getstate()
-                        outcomes.add(drawn is None)
+            for m in sorted({widest, widest - 1, 3 * widest // 4, widest // 2}):
+                if m <= 40 and m * (top - 1) >= n - 1:
+                    yield n, m, top
+    for n, max_card, m in SPARSE_SIZES:
+        yield n, m, max_card
+
+
+def test_edge_sampler_matches_the_nesting_rule_draw_for_draw():
+    # each state is followed over several draws
+    outcomes = set()
+    for n, m, top in _nesting_grid():
+        for seed in range(3):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                sizes = generate._sizes(fast, n, m, top)
+                assert sizes == sizes_by_randint(slow, n, m, top)
+                drawn = generate._connected_edges(fast, n, sizes)
+                assert drawn == connected_edges_by_nesting(
+                    slow, n, sizes, generate.EDGE_TRIES
+                )
+                assert fast.getstate() == slow.getstate()
+                outcomes.add(drawn is None)
     assert outcomes == {True, False}
+
+
+def test_draw_primitive_is_randint_from_the_same_state():
+    for seed in range(3):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for w in range(1, 301):
+            for lo in (0, 2, 7):
+                assert lo + generate._below(fast, w) == slow.randint(lo, lo + w - 1)
+                assert fast.getstate() == slow.getstate()
+
+
+class NoBits(random.Random):
+    """A generator whose every draw is a test failure."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"drew {k} bits")
+
+
+@pytest.mark.parametrize("w", [0, -1])
+def test_draw_primitive_refuses_an_empty_range(w):
+    # the rejection loop alone would spin: getrandbits(0) is 0, never below 0
+    with pytest.raises(ValueError, match="empty range"):
+        generate._below(NoBits(), w)
+
+
+def test_sample_replica_is_sample_from_the_same_state():
+    # lengths 1..100 pass 21, the pool branch's bound for k <= 5, and 85,
+    # its bound for 6 <= k <= 12
+    for length in range(1, 101):
+        population = list(range(1000, 1000 - length, -1))
+        for k in range(min(length, 12) + 1):
+            for seed in range(3):
+                fast, slow = random.Random(seed), random.Random(seed)
+                for pop in (population, range(length)):
+                    assert generate._sample(fast, pop, k) == slow.sample(pop, k)
+                    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("k", [-1, 30])
+def test_sample_replica_refuses_what_sample_refuses(k):
+    population = list(range(29))
+    with pytest.raises(ValueError):
+        random.Random(0).sample(population, k)
+    with pytest.raises(ValueError, match="sample larger"):
+        generate._sample(NoBits(), population, k)
 
 
 @st.composite
